@@ -5,8 +5,8 @@ Two workloads:
 * the sharded-engine benchmark's design-scale plane -- a seed-stable
   2000-instance random design swept over 64 scenarios under full ``(S, N)``
   effective element planes -- run through the complete backend matrix
-  (``numpy`` / ``contract`` / ``native`` serial / ``process`` / ``process``
-  x ``native``), the acceptance surface for the compiled tier;
+  (``numpy`` / ``contract`` / ``native`` / ``process``), the acceptance
+  surface for the compiled tier;
 * a shape matrix (balanced / chain / random-binary forests) pinning that
   the compiled kernels hold parity and pick the right inner strategy
   (fused level sweeps on shallow shapes, compiled contraction rounds on
@@ -17,8 +17,9 @@ against the serial numpy reference (the compiled kernels replay the same
 per-level, bucket-order accumulation, so only LLVM-level reassociation
 separates them -- far inside the budget).  The speedup assertion --
 **>= 2x over numpy for the 64-scenario, 2000-instance sweep** -- applies
-to the best native arm; composition with process sharding is measured in
-the same table.  An ECO check re-runs the matrix after ``replace_tree``
+to the native arm, which never shards (its kernels are ``prange``-parallel
+in-process); the sharded ``process`` arm is measured in the same table.
+An ECO check re-runs the matrix after ``replace_tree``
 so the compiled path survives structure invalidation.  The printed tables
 are the record for ``docs/performance.md``.
 
@@ -51,16 +52,15 @@ INPUT_DRIVE = 120.0
 FIELDS = ("tp", "tde", "tre", "ree", "total_capacitance")
 CORES = default_job_count()
 #: Same sharding policy as bench_parallel: at least two workers so the
-#: process x native composition is always exercised, capped at eight.
+#: sharded arm is always exercised, capped at eight.
 JOBS = max(2, min(CORES, 8))
 
 #: The full backend matrix: (row label, engine, jobs).
 MATRIX = (
     ("numpy (serial reference)", "numpy", None),
     ("contract", "contract", None),
-    ("native, serial", "native", 1),
+    ("native", "native", 1),
     (f"process ({JOBS} workers)", "process", JOBS),
-    (f"native x process ({JOBS} workers)", "native", JOBS),
 )
 
 pytestmark = pytest.mark.skipif(

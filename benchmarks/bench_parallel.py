@@ -9,8 +9,8 @@ over 64 scenarios (:func:`repro.generators.random_scenarios`) under full
 contenders produce every node's characteristic times under every scenario:
 
 * ``engine="numpy"`` -- the serial vectorized kernels (the reference);
-* ``engine="process"`` -- node-balanced shards solved by worker processes
-  over shared-memory planes (:mod:`repro.parallel.engine`);
+* ``engine="process"`` -- node-balanced shards solved on worker threads
+  over in-process planes (:mod:`repro.parallel.engine`);
 * the chunked axis -- a 256-scenario sweep through
   ``scenario_chunk``-bounded passes, demonstrating the bounded working set.
 
@@ -41,8 +41,8 @@ THRESHOLD = 0.5
 INPUT_DRIVE = 120.0
 FIELDS = ("tp", "tde", "tre", "ree", "total_capacitance")
 CORES = default_job_count()
-#: At least two workers even on small machines, so the shared-memory path
-#: is always the one whose parity gets pinned; capped to avoid oversharding.
+#: At least two workers even on small machines, so the sharded path is
+#: always the one whose parity gets pinned; capped to avoid oversharding.
 JOBS = max(2, min(CORES, 8))
 
 

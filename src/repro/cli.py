@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     timing.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes for the corner-sweep solve; requires "
+        help="worker threads for the corner-sweep solve; requires "
         "--corners (1 = serial; default: auto-select the sharded engine "
         "by sweep size)",
     )
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes for session corner sweeps (default: "
+        help="worker threads for session corner sweeps (default: "
         "auto-select by sweep size)",
     )
     serve.add_argument(

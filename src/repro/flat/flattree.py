@@ -650,9 +650,9 @@ class FlatTree:
         solve because the base arrays are re-read per call.
         """
         s = _scenario_count(count, edge_r, edge_c, node_c)
-        er = as_node_matrix(edge_r, self._edge_r, s)
-        ec = as_node_matrix(edge_c, self._edge_c, s)
-        nc = as_node_matrix(node_c, self._node_c, s)
+        er = as_node_matrix(edge_r, self._edge_r, s, "edge_r")
+        ec = as_node_matrix(edge_c, self._edge_c, s, "edge_c")
+        nc = as_node_matrix(node_c, self._node_c, s, "node_c")
         rkk, c_down, tde, tre = sweep_scenarios(self._levels, self._parent, er, ec, nc)
         rkk_parent = rkk[np.maximum(self._parent, 0)]
         # The root has no parent edge; zero its gathered row so a plane that

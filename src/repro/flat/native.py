@@ -29,17 +29,22 @@ import; :func:`native_status` reports ``"ok"``, ``"numba-missing"``,
 :func:`repro.parallel.backends.last_selection`.
 
 The kernels declare ``cache=True`` so the machine-code artifact persists on
-disk: the compile cost is paid once per machine, and the forked shard
-workers of the ``"process"`` machinery load the same cache instead of
-recompiling (the parent additionally warms the kernels *before* any pool
-fork).  Unless ``NUMBA_THREADING_LAYER`` is set explicitly, the threading
-layer is pinned to ``"forksafe"`` -- the compiled sweeps run inside forked
-worker processes, where the GNU OpenMP layer would deadlock.
+disk: the compile cost is paid once per machine.  The ``"native"`` backend
+always runs in-process and never shards -- the kernels are already
+``prange``-parallel across scenario blocks.  Unless
+``NUMBA_THREADING_LAYER`` is set explicitly, the threading layer is pinned
+to ``"forksafe"`` so a caller that forks after a compiled sweep keeps
+working (the GNU OpenMP layer would deadlock the child).  Without TBB that
+layer is ``workqueue``, which must never be entered by two threads at once,
+so every compiled launch from the engine holds one module lock: concurrent
+callers (serve executor threads, store shard threads) queue, and each
+launch still spreads over every core.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,11 +86,15 @@ except Exception:  # numba absent (or broken) -- the numpy engines carry on
 #: solve degrades instantly instead of re-raising inside the engine.
 _JIT_OK: List[Optional[bool]] = [None]
 
+#: Serializes compiled-kernel launches across threads (see the module
+#: docstring): the fork-safe ``workqueue`` layer is not thread-safe.
+_LAUNCH_LOCK = threading.RLock()
+
 
 if _PROBE == "ok":  # pragma: no cover - exercised only where numba is installed
     try:
         if "NUMBA_THREADING_LAYER" not in os.environ:
-            # The kernels run inside forked pool workers; only the
+            # Callers may fork after a compiled sweep; only the
             # fork-safe layers (tbb/workqueue) survive that.
             numba.config.THREADING_LAYER = "forksafe"
 
@@ -259,14 +268,12 @@ def native_ready() -> bool:
     The first call on a machine compiles the kernels on toy inputs
     (subsequent processes load the on-disk cache that ``cache=True``
     writes); any failure is remembered and reported as ``"jit-failed"``.
-    The parallel engine calls this before *forking* shard workers, so the
-    children inherit or cache-load the compiled code instead of racing to
-    compile it.
     """
     if not native_available():
         return False
-    if _JIT_OK[0] is None:
-        _JIT_OK[0] = _warm()
+    with _LAUNCH_LOCK:
+        if _JIT_OK[0] is None:
+            _JIT_OK[0] = _warm()
     return bool(_JIT_OK[0]) and native_available()
 
 
@@ -438,7 +445,7 @@ class _NativeSweep:
     """Callable with the engine's substitute-kernel signature.
 
     Precomputes the topology products at construction so chunked solves
-    (and the per-shard reuse inside the process machinery) pay them once.
+    pay them once; each call holds the launch lock.
     """
 
     def __init__(
@@ -458,10 +465,11 @@ class _NativeSweep:
         node_c: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Run the selected compiled kernel over one chunk's planes."""
-        if self._deep:
-            return sweep_scenarios_contract_native(
-                parent, edge_r, edge_c, node_c, schedule=self._schedule
+        with _LAUNCH_LOCK:
+            if self._deep:
+                return sweep_scenarios_contract_native(
+                    parent, edge_r, edge_c, node_c, schedule=self._schedule
+                )
+            return sweep_scenarios_native(
+                self._levels, parent, edge_r, edge_c, node_c
             )
-        return sweep_scenarios_native(
-            self._levels, parent, edge_r, edge_c, node_c
-        )

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.exceptions import AnalysisError
+from repro.core.exceptions import AnalysisError, ElementValueError
 
 #: Scenario element planes accepted by the batch solvers and
 #: :func:`as_node_matrix`: ``None`` (use the base array for every scenario),
@@ -38,6 +38,7 @@ __all__ = [
     "ScenarioForestTimes",
     "sweep_scenarios",
     "as_node_matrix",
+    "check_elements",
     "level_buckets",
 ]
 
@@ -97,17 +98,35 @@ class ScenarioForestTimes:
         return self.tde.shape[0]
 
 
-def as_node_matrix(values: PlaneInput, base: np.ndarray, count: int) -> np.ndarray:
+def check_elements(array: np.ndarray, name: str) -> np.ndarray:
+    """Return ``array`` if every entry is finite and non-negative.
+
+    The paper's bounds assume finite, non-negative R and C; a negative
+    plane would return negative delays and an ``inf`` one NaNs, so every
+    plane that enters a solve or a shard store passes through here and
+    raises :class:`~repro.core.exceptions.ElementValueError` otherwise.
+    Two reductions and no temporary: ``min`` propagates NaN, so NaN and
+    negative entries fail the first test and ``+inf`` the second.
+    """
+    if array.size and not (array.min() >= 0.0 and np.isfinite(array.max())):
+        raise ElementValueError(f"{name} values must be finite and non-negative")
+    return array
+
+
+def as_node_matrix(
+    values: PlaneInput, base: np.ndarray, count: int, name: str = "scenario plane"
+) -> np.ndarray:
     """Normalize a scenario plane to a contiguous ``(N, S)`` matrix.
 
     ``values`` may be ``None`` (use the base array for every scenario), a
     ``(S,)`` vector of per-scenario values to broadcast over nodes, or a full
-    ``(S, N)`` matrix of effective element values.
+    ``(S, N)`` matrix of effective element values; non-finite or negative
+    values raise :class:`~repro.core.exceptions.ElementValueError`.
     """
     n = base.shape[0]
     if values is None:
         return np.ascontiguousarray(np.broadcast_to(base[:, np.newaxis], (n, count)))
-    array = np.asarray(values, dtype=float)
+    array = check_elements(np.asarray(values, dtype=float), name)
     if array.ndim == 1:
         if array.shape[0] != count:
             raise AnalysisError(
@@ -127,20 +146,31 @@ def sweep_scenarios(
     edge_r: np.ndarray,
     edge_c: np.ndarray,
     node_c: np.ndarray,
+    out: Optional[Tuple[np.ndarray, ...]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The two characteristic-time passes over ``(N, S)`` element matrices.
 
     Returns ``(rkk, c_down, tde, tre)``, all ``(N, S)``.  The recurrences are
     the single-scenario sweeps verbatim; numpy broadcasting carries the
-    trailing scenario axis through every gather/scatter.
+    trailing scenario axis through every gather/scatter.  ``out`` optionally
+    supplies ``(rkk, tde, tre)`` destination arrays (any ``(N, S)`` views,
+    e.g. one shard's rows of a preallocated result), which are overwritten
+    and returned instead of fresh allocations -- same arithmetic, same bits.
     """
-    rkk = edge_r.copy()
+    if out is None:
+        rkk = edge_r.copy()
+        tde = np.zeros_like(rkk)
+        tre = np.zeros_like(rkk)
+    else:
+        rkk, tde, tre = out
+        rkk[...] = edge_r
+        tde[...] = 0.0
+        tre[...] = 0.0
     for level in levels[1:]:
         rkk[level] += rkk[parent[level]]
     c_down = node_c.copy()
     for level in reversed(levels[1:]):
         np.add.at(c_down, parent[level], c_down[level] + edge_c[level])
-    tde = np.zeros_like(rkk)
     tr_num = np.zeros_like(rkk)
     for level in levels[1:]:
         p = parent[level]
@@ -151,5 +181,5 @@ def sweep_scenarios(
         rp = rkk[p]
         tde[level] = tde[p] + r * (below + lc / 2.0)
         tr_num[level] = tr_num[p] + (rk * rk - rp * rp) * below + (rp * r + r * r / 3.0) * lc
-    tre = np.divide(tr_num, rkk, out=np.zeros_like(rkk), where=rkk > 0.0)
+    np.divide(tr_num, rkk, out=tre, where=rkk > 0.0)
     return rkk, c_down, tde, tre

@@ -11,13 +11,12 @@ across trees and scenarios; this layer turns that into wall-clock speed:
   Numba JIT-compiled kernels that degrade to numpy without Numba) and the
   size/depth auto-selection every ``engine=`` parameter funnels through,
   observable via :func:`last_selection` and ``REPRO_ENGINE_LOG=1``;
-* :mod:`repro.parallel.engine` -- the execution engine itself:
-  ``multiprocessing.shared_memory``-backed element/result planes, cached
-  worker pools, and numerically identical results regardless of backend
-  (bitwise between ``"numpy"`` and ``"process"``, 1e-12 for
-  ``"contract"`` and ``"native"``).  ``engine="native"`` with ``jobs>=2``
-  reuses the process machinery with the compiled kernel per shard, so
-  worker count and JIT compose multiplicatively.
+* :mod:`repro.parallel.engine` -- the execution engine itself: shards
+  solved on worker threads over in-process planes, each writing its rows
+  of the preallocated results, and numerically identical results
+  regardless of backend (bitwise between ``"numpy"`` and ``"process"``,
+  1e-12 for ``"contract"`` and ``"native"``).  ``"native"`` never shards:
+  its compiled kernels are ``prange``-parallel in-process.
 
 Callers never import this package directly for normal use -- they pass
 ``engine=`` / ``jobs=`` to :meth:`repro.flat.FlatForest.solve_batch`,

@@ -4,20 +4,20 @@ A *backend* is a strategy for running the characteristic-time level sweeps
 over the ``(N, S)`` element planes of a forest:
 
 * ``"numpy"`` -- the serial vectorized kernels, in-process.  Always
-  available, always the reference; small sweeps stay here because process
+  available, always the reference; small sweeps stay here because shard
   fan-out costs more than it saves.
 * ``"process"`` -- the sharded multi-core engine
   (:mod:`repro.parallel.engine`): the forest is split into contiguous,
   node-balanced shards (:func:`repro.parallel.sharding.plan_shards`) and
-  solved by worker processes over ``multiprocessing.shared_memory`` planes.
+  solved on worker threads over in-process planes.
 * ``"contract"`` -- the pointer-jumping tree-contraction kernels
   (:mod:`repro.flat.contraction`): O(log N) rounds regardless of depth, the
   cure for chain-heavy forests where the level sweeps degenerate into one
   numpy call per level.
 * ``"native"`` -- the Numba JIT-compiled kernels
   (:mod:`repro.flat.native`): the same sweeps fused into compiled machine
-  code, run serially or per shard inside the process machinery (worker
-  count x JIT compose).  Numba is optional: when it is missing, disabled
+  code, run in-process and ``prange``-parallel across scenario blocks
+  (never sharded).  Numba is optional: when it is missing, disabled
   (``REPRO_DISABLE_NATIVE=1``) or fails to compile, every ``"native"``
   request degrades to ``"numpy"`` and the recorded selection says why.
 
@@ -26,29 +26,27 @@ Callers normally pass ``engine=None`` (or ``"auto"``) and let
 (``depth / log2(nodes) >= CONTRACT_DEPTH_RATIO``) go to the contraction
 kernels (compiled rounds when the native kernels are warm), sweeps of at
 least ``AUTO_NATIVE_CELLS`` cells go to the compiled kernels when those
-are usable, and the multi-process escalation (``nodes x scenarios >=
-AUTO_PROCESS_CELLS`` with more than one usable worker) runs the compiled
-kernels per shard when available, plain ``"process"`` otherwise.  An
-*explicit* ``engine="process"`` / ``"contract"`` / ``"native"`` is always
-honoured (parallel backends with however many workers are available) so
-parity tests exercise every path even on one core.  Worker counts are
-affinity-aware: :func:`default_job_count` reads the scheduling mask
-(``os.sched_getaffinity``), not the raw CPU count, so cgroup-capped
-containers never auto-pay process fan-out they cannot use.
+are usable, and otherwise the sharded escalation (``nodes x scenarios >=
+AUTO_PROCESS_CELLS`` with more than one usable worker) picks
+``"process"``.  An *explicit* ``engine="process"`` / ``"contract"`` /
+``"native"`` is always honoured (``"process"`` with however many workers
+are asked for) so parity tests exercise every path even on one core.
+Worker counts are affinity-aware: :func:`default_job_count` reads the
+scheduling mask (``os.sched_getaffinity``), not the raw CPU count, so
+cgroup-capped containers never auto-pay shard fan-out they cannot use.
 
 Every solve records which backend it chose (:func:`last_selection`), and
 setting ``REPRO_ENGINE_LOG=1`` additionally prints one line per solve to
 stderr -- the observability knob for "why was this sweep slow?".
 
 The registry is open: :func:`register_backend` lets an experiment register
-e.g. a thread-pool or GPU strategy under a new name without touching the
-call sites, which all go through ``engine="<name>"`` string selection.
+e.g. a GPU strategy under a new name without touching the call sites,
+which all go through ``engine="<name>"`` string selection.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
@@ -72,7 +70,7 @@ __all__ = [
 ]
 
 #: Smallest ``nodes x scenarios`` plane for which ``engine=None`` escalates
-#: to the process backend: below this the serial kernels finish in a few
+#: to the sharded backend: below this the serial kernels finish in a few
 #: milliseconds and worker dispatch would only add latency.
 AUTO_PROCESS_CELLS = 1 << 19
 
@@ -155,11 +153,6 @@ def default_job_count() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except (AttributeError, OSError):  # pragma: no cover - non-Linux fallback
         return max(1, os.cpu_count() or 1)
-
-
-def _in_daemon_worker() -> bool:
-    """True inside a daemonic (pool) worker, where children cannot be forked."""
-    return bool(multiprocessing.current_process().daemon)
 
 
 def _native_ready() -> bool:
@@ -281,17 +274,13 @@ def resolve_engine(
     contraction rounds of ``"native"`` when those are warm and the sweep
     clears :data:`AUTO_NATIVE_CELLS`, else for the ``"contract"`` kernels,
     whose round count is O(log N) instead of O(depth).  Otherwise a sweep
-    of at least :data:`AUTO_PROCESS_CELLS` cells with more than one usable
-    worker (``jobs`` when given, else the affinity-aware
-    :func:`default_job_count`) escalates -- to ``"native"`` (compiled
-    kernels per shard) when ready, else ``"process"`` -- and a sweep of at
-    least :data:`AUTO_NATIVE_CELLS` cells runs the compiled kernels
-    in-process (``jobs`` forced to 1: no fan-out cost below the process
-    threshold); the default remains ``"numpy"``.  Explicit names are
-    honoured as-is (except inside a daemonic worker, where nested pools
-    cannot exist: ``"process"`` silently degrades to serial numpy and
-    ``"native"`` runs its serial compiled path with one job).  Returns
-    ``(backend, jobs)`` with ``jobs`` meaningful only for parallel backends.
+    of at least :data:`AUTO_NATIVE_CELLS` cells runs the compiled kernels
+    when they are ready, a sweep of at least :data:`AUTO_PROCESS_CELLS`
+    cells with more than one usable worker (``jobs`` when given, else the
+    affinity-aware :func:`default_job_count`) escalates to ``"process"``,
+    and the default remains ``"numpy"``.  Explicit names are honoured
+    as-is.  Returns ``(backend, jobs)`` with ``jobs`` meaningful only for
+    parallel backends (every other backend reports one job).
     """
     if jobs is not None:
         jobs = int(jobs)
@@ -300,9 +289,7 @@ def resolve_engine(
     name = engine if engine is not None else "auto"
     if name == "auto":
         workers = jobs if jobs is not None else default_job_count()
-        escalate = (
-            workers >= 2 and cells >= AUTO_PROCESS_CELLS and not _in_daemon_worker()
-        )
+        escalate = workers >= 2 and cells >= AUTO_PROCESS_CELLS
         native_ok = (
             "native" in _REGISTRY and cells >= AUTO_NATIVE_CELLS and _native_ready()
         )
@@ -314,17 +301,7 @@ def resolve_engine(
             name = "process"
         else:
             name = "numpy"
-        if name == "native" and not escalate:
-            # Below the process threshold the compiled sweep runs
-            # in-process; sharding would only add dispatch overhead.
-            jobs = 1
     backend = get_backend(name)
     if not backend.parallel:
         return backend, 1
-    if _in_daemon_worker():
-        if backend.name == "native":
-            # The serial compiled path needs no child processes, so an
-            # explicit "native" inside a pool worker still runs compiled.
-            return backend, 1
-        return get_backend("numpy"), 1
     return backend, jobs if jobs is not None else default_job_count()

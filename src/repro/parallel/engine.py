@@ -9,7 +9,7 @@ along).  It normalizes the element planes, picks a backend through
 :func:`repro.parallel.backends.resolve_engine`, and runs the paper's two
 characteristic-time passes chunk by chunk over the scenario axis.
 
-Execution model of the process backend
+Execution model of the sharded backend
 --------------------------------------
 
 * The forest is partitioned into contiguous, node-balanced shards
@@ -18,21 +18,21 @@ Execution model of the process backend
   shard solve is **bitwise identical** to the same trees' rows of a
   whole-forest solve -- the 1e-12 parity the tests pin is really exact
   equality.
-* Two ``multiprocessing.shared_memory`` blocks carry everything the
-  workers touch, both node-major (the kernels' orientation): a transient
-  input block with the structure arrays (``parent``, ``depth``) and the
-  current chunk's element planes, and a result block whose five planes are
-  returned to the caller as zero-copy transposed views.  Workers attach by
-  name and read/write their ``[node_lo, node_hi)`` slice -- no element or
-  result data is ever pickled, and no transpose happens on the worker path.
+* Shards run on threads over in-process planes: the calling thread solves
+  the first shard and the shard executor's worker threads the rest.  Each
+  shard reads row slices of the chunk's node-major ``(N, w)`` element
+  matrices and writes its results straight into its rows of the
+  preallocated result arrays; numpy releases the GIL inside the sweeps'
+  gathers, scatters and arithmetic, so the shards overlap on separate
+  cores.  Nothing is copied between shards and the caller.
 * The scenario axis is processed in bounded chunks
-  (:func:`repro.parallel.sharding.scenario_chunks`): the shared planes are
-  allocated at chunk width and refilled per chunk, so a 256-scenario sweep
-  of a large design never materializes more than a few
+  (:func:`repro.parallel.sharding.scenario_chunks`), so a 256-scenario
+  sweep of a large design never materializes more than a few
   :data:`~repro.parallel.sharding.DEFAULT_CHUNK_CELLS`-sized planes at once.
-* Worker pools are cached per worker count and reused across solves (fork
-  cost is paid once, not per sweep); nothing about a *forest* is cached
-  anywhere in this module, so incremental edits
+* The shard executors are shared per worker count and created lazily
+  behind a lock; every solve keeps its planes, shard plans and results in
+  its own frame, so concurrent callers never share state.  Nothing about a
+  *forest* is cached in this module, so incremental edits
   (:meth:`~repro.flat.FlatForest.replace_tree`,
   :meth:`~repro.graph.DesignDB.update_net`) invalidate exactly as they do
   for the serial path -- the next solve simply reads the forest's current
@@ -41,12 +41,11 @@ Execution model of the process backend
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing
-import weakref
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from multiprocessing import shared_memory
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -55,6 +54,7 @@ from repro.flat.contraction import jump_schedule, sweep_scenarios_contract
 from repro.flat.scenarios import (
     PlaneInput,
     ScenarioForestTimes,
+    check_elements,
     level_buckets,
     sweep_scenarios,
 )
@@ -77,12 +77,12 @@ SweepFn = Callable[
 ]
 #: The forest's base element arrays, in ``(edge_r, edge_c, node_c)`` order.
 BasePlanes = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: The element planes in ``(edge_r, edge_c, node_c)`` order, by name.
+PLANE_NAMES = ("edge_r", "edge_c", "node_c")
 #: Normalized scenario planes (outputs of :func:`normalize_plane`), same order.
 ScenarioPlanes = Tuple[
     Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]
 ]
-#: Field name -> (byte offset, shape, dtype) inside one shared block.
-BlockLayout = Dict[str, Tuple[int, Tuple[int, ...], str]]
 
 
 @dataclass(frozen=True)
@@ -113,17 +113,21 @@ class ForestStructure:
         return int(len(self.offsets) - 1)
 
 
-def normalize_plane(values: PlaneInput, n: int, count: int) -> Optional[np.ndarray]:
+def normalize_plane(
+    values: PlaneInput, n: int, count: int, name: str = "scenario plane"
+) -> Optional[np.ndarray]:
     """Validate one scenario plane without materializing the ``(N, S)`` matrix.
 
     Returns ``None`` (use base values), a ``(S,)`` per-scenario vector, or a
     ``(S, N)`` matrix -- the same shapes
     :func:`repro.flat.scenarios.as_node_matrix` accepts, but kept in their
     compact form so chunked execution can slice scenarios lazily.
+    Non-finite or negative values raise
+    :class:`~repro.core.exceptions.ElementValueError`.
     """
     if values is None:
         return None
-    array = np.asarray(values, dtype=float)
+    array = check_elements(np.asarray(values, dtype=float), name)
     if array.ndim == 1:
         if array.shape[0] != count:
             raise AnalysisError(
@@ -156,26 +160,6 @@ def _chunk_matrix(
     return np.ascontiguousarray(values[lo:hi].T)
 
 
-def _fill_node_chunk(
-    out: np.ndarray,
-    values: Optional[np.ndarray],
-    base: np.ndarray,
-    lo: int,
-    hi: int,
-) -> None:
-    """Write the node-major ``(N, hi-lo)`` element matrix into a shared plane.
-
-    For a plane that is a transposed node-major view this is one straight
-    memcpy; broadcast forms are cheap strided fills.
-    """
-    if values is None:
-        out[:] = base[:, np.newaxis]
-    elif values.ndim == 1:
-        out[:] = values[np.newaxis, lo:hi]
-    else:
-        np.copyto(out, values[lo:hi].T)
-
-
 def _solve_range(
     parent: np.ndarray,
     levels: Sequence[np.ndarray],
@@ -184,6 +168,7 @@ def _solve_range(
     ec: np.ndarray,
     nc: np.ndarray,
     sweep: Optional[SweepFn] = None,
+    out: Optional[Tuple[np.ndarray, ...]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The forest kernel over one contiguous node range.
 
@@ -196,23 +181,41 @@ def _solve_range(
     bitwise identical to serial results; ``sweep`` substitutes an
     alternative two-pass kernel with the :func:`sweep_scenarios` signature
     minus ``levels`` (the contraction kernel), which keeps the documented
-    1e-12 parity instead.
+    1e-12 parity instead.  ``out`` optionally supplies the five result
+    arrays (e.g. one shard's rows of a whole-forest result): the level
+    sweeps and reductions then write into them directly, a substitute
+    sweep's node arrays are copied in, and ``out`` is what is returned.
     """
     if sweep is None:
-        rkk, _, tde, tre = sweep_scenarios(levels, parent, er, ec, nc)
+        rkk, c_down, tde, tre = sweep_scenarios(
+            levels, parent, er, ec, nc, out=None if out is None else out[:3]
+        )
     else:
-        rkk, _, tde, tre = sweep(parent, er, ec, nc)
-    rkk_parent = rkk[np.maximum(parent, 0)]
+        rkk, c_down, tde, tre = sweep(parent, er, ec, nc)
+        if out is not None:
+            out[0][...] = rkk
+            out[1][...] = tde
+            out[2][...] = tre
+            rkk, tde, tre = out[:3]
+    del c_down  # not a result; one fewer plane alive through the reductions
+    # The gathered parent path resistance, turned in place into the T_P
+    # terms ``rkk * nc + (rkk_parent + er / 2) * ec`` (same operations, same
+    # bits as the expression, without its temporaries).
+    tp_terms = rkk[np.maximum(parent, 0)]
     # A root has no parent edge: its gathered "parent" row above is whatever
     # node sits at local index 0, which differs between a whole-forest solve
     # and a shard solve.  Base forests keep root edge elements at zero so the
     # term vanishes either way, but solve_batch accepts arbitrary planes --
     # zero the root rows explicitly so every node range, sharded or not,
     # computes the identical (and well-defined) T_P contribution.
-    rkk_parent[parent < 0] = 0.0
-    tp_terms = rkk * nc + (rkk_parent + er / 2.0) * ec
-    tp = np.add.reduceat(tp_terms, starts, axis=0)
-    total = np.add.reduceat(nc + ec, starts, axis=0)
+    tp_terms[parent < 0] = 0.0
+    tp_terms += er / 2.0
+    tp_terms *= ec
+    tp_terms += rkk * nc
+    tp = np.add.reduceat(tp_terms, starts, axis=0, out=None if out is None else out[3])
+    total = np.add.reduceat(
+        nc + ec, starts, axis=0, out=None if out is None else out[4]
+    )
     return rkk, tde, tre, tp, total
 
 
@@ -357,15 +360,11 @@ def _solve_native(
     jobs: int,
     chunk: Optional[int],
 ) -> ScenarioForestTimes:
-    """Chunked execution of the JIT-compiled kernels, sharded when ``jobs>=2``.
+    """Chunked in-process execution of the JIT-compiled kernels.
 
-    With one worker the compiled sweep runs in-process through the same
-    chunked driver as every serial backend.  With two or more, the solve
-    reuses the entire ``"process"`` shared-memory machinery with a
-    per-shard ``kernel="native"`` hint, so worker count and compiled
-    kernels compose multiplicatively; the kernels are warmed *before* the
-    pool fork so children load the ``cache=True`` artifact instead of
-    compiling.  If the kernels turn out unusable the numpy path runs --
+    The compiled kernels are ``prange``-parallel across scenario blocks
+    already, so this backend never shards (``jobs`` is unused).  If the
+    kernels turn out unusable the numpy path runs --
     :func:`solve_forest_batch` normally swaps the backend (and records the
     reason) before ever dispatching here, so this is a second belt.
     """
@@ -375,289 +374,129 @@ def _solve_native(
     sweep = _native_sweep_for(structure.parent, levels)
     if sweep is None:
         return _solve_numpy(structure, base, planes, count, 1, chunk)
-    if jobs >= 2:
-        offsets = np.asarray(structure.offsets, dtype=np.int64)
-        if len(plan_shards(offsets, jobs)) > 1:
-            return _solve_process_impl(
-                structure, base, planes, count, jobs, chunk, kernel="native"
-            )
     return _solve_serial(structure, base, planes, count, chunk, sweep=sweep)
 
 
 # ----------------------------------------------------------------------
-# Sharded process backend ("process")
+# Sharded backend ("process")
 # ----------------------------------------------------------------------
-#: Transient input block: structure arrays plus the current chunk's element
-#: planes.  Everything is **node-major** ``(N, width)`` -- the kernel's own
-#: orientation -- so workers operate on direct slices with no transposes,
-#: and a caller plane that is node-major underneath refills as one memcpy.
-_IN_FIELDS = ("parent", "depth", "er", "ec", "nc")
-#: Result block: full-sweep, node-major; returned zero-copy as the ``.T``
-#: views of the :class:`~repro.flat.scenarios.ScenarioForestTimes` (the
-#: serial path returns transposed views of its working arrays too).
-_OUT_FIELDS = ("ree", "tde", "tre", "tp", "total")
+@dataclass(frozen=True)
+class _Shard:
+    """One shard's range-local topology, prepared once per solve."""
+
+    nodes: slice
+    trees: slice
+    parent: np.ndarray
+    levels: List[np.ndarray]
+    starts: np.ndarray
+    sweep: Optional[SweepFn]
 
 
-def _block_layout(
-    fields: Sequence[str], shapes: Dict[str, Tuple[Tuple[int, ...], str]]
-) -> BlockLayout:
-    """Byte offset, shape and dtype of each field inside one shared block."""
-    layout: Dict[str, Tuple[int, Tuple[int, ...], str]] = {}
-    offset = 0
-    for field in fields:
-        shape, dtype = shapes[field]
-        layout[field] = (offset, shape, dtype)
-        offset += int(np.prod(shape)) * np.dtype(dtype).itemsize
-    layout["__size__"] = (offset, (), "")
-    return layout
+def _plan_shard(
+    structure: ForestStructure,
+    offsets: np.ndarray,
+    ranges: Tuple[Tuple[int, int], Tuple[int, int]],
+) -> _Shard:
+    """Rebase one shard's topology to local indices and pick its kernel.
 
-
-def _in_layout(n: int, width: int) -> BlockLayout:
-    return _block_layout(
-        _IN_FIELDS,
-        {
-            "parent": ((n,), "int64"),
-            "depth": ((n,), "int64"),
-            "er": ((n, width), "float64"),
-            "ec": ((n, width), "float64"),
-            "nc": ((n, width), "float64"),
-        },
-    )
-
-
-def _out_layout(n: int, trees: int, count: int) -> BlockLayout:
-    return _block_layout(
-        _OUT_FIELDS,
-        {
-            "ree": ((n, count), "float64"),
-            "tde": ((n, count), "float64"),
-            "tre": ((n, count), "float64"),
-            "tp": ((trees, count), "float64"),
-            "total": ((trees, count), "float64"),
-        },
-    )
-
-
-def _views(
-    buffer: memoryview, layout: BlockLayout, fields: Sequence[str]
-) -> Dict[str, np.ndarray]:
-    """Numpy views of every field of a shared block.
-
-    Built with :func:`np.frombuffer` deliberately: unlike
-    ``np.ndarray(buffer=...)`` (whose ``base`` bypasses the memoryview and
-    holds no PEP-3118 export), a ``frombuffer`` view keeps a real buffer
-    export open, so a premature ``SharedMemory.close()`` raises
-    ``BufferError`` instead of unmapping pages a live array still reads.
-    """
-    views: Dict[str, np.ndarray] = {}
-    for field in fields:
-        offset, shape, dtype = layout[field]
-        count = int(np.prod(shape)) if shape else 0
-        views[field] = np.frombuffer(
-            buffer, dtype=dtype, count=count, offset=offset
-        ).reshape(shape)
-    return views
-
-
-def _release_block(shm: shared_memory.SharedMemory) -> None:
-    """Release a block we created, tolerating still-live numpy views.
-
-    If views still export the buffer, ``close()`` raises ``BufferError``;
-    the mapping then lives exactly as long as the last view (the memoryview
-    keeps the mmap alive, the OS frees the pages on its collection), and
-    the ``SharedMemory`` destructor is disarmed so it cannot retry.  The
-    name is unlinked either way, so nothing persists past the process.
-    """
-    try:
-        shm.close()
-    except BufferError:
-        shm._buf = None
-        shm._mmap = None
-    try:
-        shm.unlink()
-    except Exception:
-        pass
-
-
-class _ResultBlock:
-    """Owns the result shared-memory block for its numpy views' lifetime.
-
-    The views handed back to the caller hold buffer exports that keep the
-    mapping alive; when the holder (stashed on the returned record) is
-    collected -- or at interpreter exit, whichever comes first -- the block
-    is released via :func:`_release_block`.
-    """
-
-    def __init__(self, size: int) -> None:
-        self.shm = shared_memory.SharedMemory(create=True, size=size)
-        self._finalizer = weakref.finalize(self, _release_block, self.shm)
-
-
-def _attach(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing block without adopting cleanup responsibility.
-
-    Before Python 3.13 every attach registers the segment with a
-    ``resource_tracker``.  Under the ``fork`` start method the worker shares
-    the creator's tracker, so the duplicate registration is a harmless
-    set-dedupe and must be left alone (unregistering here would break the
-    creator's own unlink).  Under ``spawn``/``forkserver`` the worker has its
-    *own* tracker, which would warn about -- and eventually unlink -- a
-    segment the creator still owns, so there the registration is undone.
-    """
-    block = shared_memory.SharedMemory(name=name)
-    if multiprocessing.get_start_method() != "fork":
-        try:  # pragma: no cover - non-fork platforms, version-dependent
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(block._name, "shared_memory")
-        except Exception:
-            pass
-    return block
-
-
-def _solve_shard_into(
-    in_buf: memoryview,
-    out_buf: memoryview,
-    n: int,
-    trees: int,
-    count: int,
-    width: int,
-    w: int,
-    lo: int,
-    t_lo: int,
-    t_hi: int,
-    n_lo: int,
-    n_hi: int,
-    offsets_local: Sequence[int],
-    kernel: str = "auto",
-) -> None:
-    """Solve one shard's node range for one chunk; views scoped to this frame.
-
-    Both blocks are node-major, so the kernel runs on direct slices of the
-    input planes and writes straight into columns ``[lo, lo+w)`` of the
-    result block -- no transposes anywhere on this path.  Each shard picks
-    its own kernel: a depth-pathological shard (per
+    A depth-pathological shard (per
     :func:`repro.parallel.backends.should_contract`) runs the contraction
     sweeps -- 1e-12-equal to, but not bitwise-identical with, the level
     sweeps -- so one deep chain inside an otherwise bushy design cannot
-    serialize its worker.  ``kernel="native"`` (the hint
-    :func:`_solve_native` sends) makes the shard run the JIT-compiled
-    kernels instead, with the same per-shard deep/shallow decision; a
-    worker where the compiled kernels are unusable falls back to the numpy
-    choice above, so a heterogeneous pool still completes correctly.
+    serialize its worker.
     """
-    ins = _views(in_buf, _in_layout(n, width), _IN_FIELDS)
-    outs = _views(out_buf, _out_layout(n, trees, count), _OUT_FIELDS)
-    parent = ins["parent"][n_lo:n_hi].copy()
+    trees, (n_lo, n_hi) = ranges
+    parent = structure.parent[n_lo:n_hi].copy()
     parent[parent >= 0] -= n_lo
-    levels = level_buckets(ins["depth"][n_lo:n_hi])
-    starts = np.asarray(offsets_local, dtype=np.int64) - n_lo
-    er = ins["er"][n_lo:n_hi, :w]
-    ec = ins["ec"][n_lo:n_hi, :w]
-    nc = ins["nc"][n_lo:n_hi, :w]
+    levels = level_buckets(structure.depth[n_lo:n_hi])
     sweep = None
-    if kernel == "native":
-        sweep = _native_sweep_for(parent, levels)
-    if sweep is None and should_contract(len(levels) - 1, n_hi - n_lo):
+    if should_contract(len(levels) - 1, n_hi - n_lo):
         sweep = _contract_sweep(parent)
-    ree, tde, tre, tp, total = _solve_range(
-        parent, levels, starts, er, ec, nc, sweep=sweep
+    return _Shard(
+        nodes=slice(n_lo, n_hi),
+        trees=slice(*trees),
+        parent=parent,
+        levels=levels,
+        starts=offsets[trees[0] : trees[1]] - n_lo,
+        sweep=sweep,
     )
-    outs["ree"][n_lo:n_hi, lo : lo + w] = ree
-    outs["tde"][n_lo:n_hi, lo : lo + w] = tde
-    outs["tre"][n_lo:n_hi, lo : lo + w] = tre
-    outs["tp"][t_lo:t_hi, lo : lo + w] = tp
-    outs["total"][t_lo:t_hi, lo : lo + w] = total
 
 
-#: Worker-side single-slot attachment cache for the parent's (cached,
-#: stable-named) input block: re-attaching per task would re-mmap the same
-#: segment over and over.  Result blocks are fresh-named per solve and are
-#: attached/closed per task instead.
-_WORKER_IN: List[Tuple[str, shared_memory.SharedMemory]] = []
+def _solve_shard(
+    planes: BasePlanes,
+    outs: Tuple[np.ndarray, ...],
+    columns: slice,
+    shard: _Shard,
+) -> None:
+    """Solve one shard's rows of one chunk straight into the result arrays."""
+    rows, trees = shard.nodes, shard.trees
+    er, ec, nc = (plane[rows] for plane in planes)
+    ree, tde, tre, tp, total = outs
+    _solve_range(
+        shard.parent,
+        shard.levels,
+        shard.starts,
+        er,
+        ec,
+        nc,
+        sweep=shard.sweep,
+        out=(
+            ree[rows, columns],
+            tde[rows, columns],
+            tre[rows, columns],
+            tp[trees, columns],
+            total[trees, columns],
+        ),
+    )
 
 
-def _attach_input(name: str) -> shared_memory.SharedMemory:
-    """Attach the input block, reusing the mapping while the name is stable."""
-    if _WORKER_IN and _WORKER_IN[0][0] == name:
-        return _WORKER_IN[0][1]
-    while _WORKER_IN:
-        _, old = _WORKER_IN.pop()
-        try:
-            old.close()
-        except BufferError:  # pragma: no cover - views die with the task
-            pass
-    block = _attach(name)
-    _WORKER_IN.append((name, block))
-    return block
+#: Shard executors, one per worker count, created on first use.  Shard
+#: tasks never submit to an executor themselves, so a full pool cannot
+#: deadlock; concurrent solves simply queue their shards on it.
+_POOLS: Dict[int, ThreadPoolExecutor] = {}
+_POOLS_LOCK = threading.Lock()
 
 
-def _solve_shard_task(args: Tuple[Any, ...]) -> None:
-    """Worker body: attach the shared blocks and solve one shard inside them."""
-    in_name, out_name = args[0], args[1]
-    in_block = _attach_input(in_name)
-    out_block = _attach(out_name)
-    try:
-        _solve_shard_into(in_block.buf, out_block.buf, *args[2:])
-    finally:
-        try:
-            # The happy path has dropped every numpy view by now; on an
-            # error path the in-flight traceback may still pin buffer
-            # exports -- let the real error propagate instead of masking
-            # it, the mapping dies with the task anyway.
-            out_block.close()
-        except BufferError:  # pragma: no cover - error path only
-            pass
-
-
-#: Parent-side single-slot cache for the transient input block: reused
-#: across solves while big enough, so steady-state sweeps skip segment
-#: creation and first-touch page faults.  (The solve path is not
-#: re-entrant -- one in-flight sharded solve per process, which nesting
-#: prevention in ``resolve_engine`` already guarantees.)
-_IN_CACHE: List[shared_memory.SharedMemory] = []
-
-
-def _input_block(size: int) -> shared_memory.SharedMemory:
-    """Get-or-create the cached input block with at least ``size`` bytes."""
-    if _IN_CACHE and _IN_CACHE[0].size >= size:
-        return _IN_CACHE[0]
-    while _IN_CACHE:
-        _release_block(_IN_CACHE.pop())
-    block = shared_memory.SharedMemory(create=True, size=size)
-    _IN_CACHE.append(block)
-    return block
-
-
-def _release_input_cache() -> None:
-    """Unlink the cached input block (registered with :mod:`atexit`)."""
-    while _IN_CACHE:
-        _release_block(_IN_CACHE.pop())
-
-
-atexit.register(_release_input_cache)
-
-_POOLS: Dict[int, "multiprocessing.pool.Pool"] = {}
-
-
-def _pool(jobs: int) -> "multiprocessing.pool.Pool":
-    """A cached worker pool of the given size (fork cost paid once)."""
-    pool = _POOLS.get(jobs)
-    if pool is None:
-        pool = multiprocessing.get_context().Pool(processes=jobs)
-        _POOLS[jobs] = pool
-    return pool
+def _pool(jobs: int) -> ThreadPoolExecutor:
+    """The shared shard executor with ``jobs`` worker threads."""
+    with _POOLS_LOCK:
+        pool = _POOLS.get(jobs)
+        if pool is None:
+            pool = ThreadPoolExecutor(jobs, thread_name_prefix="repro-shard")
+            _POOLS[jobs] = pool
+        return pool
 
 
 def shutdown_pools() -> None:
-    """Terminate every cached worker pool (registered with :mod:`atexit`)."""
-    for pool in _POOLS.values():
-        pool.terminate()
-        pool.join()
-    _POOLS.clear()
+    """Shut down every shard executor, waiting for its queued work."""
+    with _POOLS_LOCK:
+        pools = list(_POOLS.values())
+        _POOLS.clear()
+    for pool in pools:
+        pool.shutdown(wait=True)
 
 
-atexit.register(shutdown_pools)
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
+
+
+def _run_shards(
+    task: Callable[[_Item], _Result], items: Sequence[_Item]
+) -> List[_Result]:
+    """Run ``task`` on every item at once, results in order.
+
+    The calling thread takes the first item itself and the shard executor
+    the rest, so a two-shard solve needs one worker thread.  Besides the
+    dispatch this saves memory: the C allocator keeps a per-thread arena
+    resident at its high-water mark, and the caller's arena is already
+    there.
+    """
+    futures = [_pool(len(items) - 1).submit(task, item) for item in items[1:]]
+    try:
+        first = task(items[0])
+    finally:
+        wait(futures)  # no worker may still write once this call is over
+    return [first] + [future.result() for future in futures]
 
 
 def _solve_process(
@@ -668,75 +507,38 @@ def _solve_process(
     jobs: int,
     chunk: Optional[int],
 ) -> ScenarioForestTimes:
-    """Sharded execution over shared-memory planes (see the module docstring)."""
-    return _solve_process_impl(structure, base, planes, count, jobs, chunk)
-
-
-def _solve_process_impl(
-    structure: ForestStructure,
-    base: BasePlanes,
-    planes: ScenarioPlanes,
-    count: int,
-    jobs: int,
-    chunk: Optional[int],
-    kernel: str = "auto",
-) -> ScenarioForestTimes:
-    """Shared body of ``"process"`` and sharded ``"native"`` solves.
-
-    ``kernel`` is forwarded to every shard task: ``"auto"`` keeps the
-    numpy level/contraction choice (the plain process backend, bitwise on
-    shallow shards), ``"native"`` runs the JIT-compiled kernels per shard.
-    """
+    """Node-balanced shards solved on worker threads (see the module docstring)."""
     n = structure.node_count
     trees = structure.tree_count
     offsets = np.asarray(structure.offsets, dtype=np.int64)
-    shards = plan_shards(offsets, jobs)
-    if len(shards) == 1:
+    tree_ranges = plan_shards(offsets, jobs)
+    if len(tree_ranges) == 1:
         return _solve_numpy(structure, base, planes, count, 1, chunk)
-    ranges = shard_node_ranges(offsets, shards)
-    chunks = scenario_chunks(count, n, chunk=chunk)
-    width = chunks[0][1] - chunks[0][0]
+    node_ranges = shard_node_ranges(offsets, tree_ranges)
+    shards = _run_shards(
+        partial(_plan_shard, structure, offsets), list(zip(tree_ranges, node_ranges))
+    )
+    outs = (
+        np.empty((n, count), dtype=np.float64),
+        np.empty((n, count), dtype=np.float64),
+        np.empty((n, count), dtype=np.float64),
+        np.empty((trees, count), dtype=np.float64),
+        np.empty((trees, count), dtype=np.float64),
+    )
     base_er, base_ec, base_nc = base
     plane_er, plane_ec, plane_nc = planes
-
-    out_layout = _out_layout(n, trees, count)
-    holder = _ResultBlock(out_layout["__size__"][0])
-    outs = _views(holder.shm.buf, out_layout, _OUT_FIELDS)
-
-    in_layout = _in_layout(n, width)
-    block = _input_block(in_layout["__size__"][0])
-    ins = _views(block.buf, in_layout, _IN_FIELDS)
-    ins["parent"][:] = structure.parent
-    ins["depth"][:] = structure.depth
-    pool = _pool(len(shards))
+    chunks = scenario_chunks(count, n, chunk=chunk)
     for lo, hi in chunks:
-        w = hi - lo
-        _fill_node_chunk(ins["er"][:, :w], plane_er, base_er, lo, hi)
-        _fill_node_chunk(ins["ec"][:, :w], plane_ec, base_ec, lo, hi)
-        _fill_node_chunk(ins["nc"][:, :w], plane_nc, base_nc, lo, hi)
-        tasks = [
-            (
-                block.name, holder.shm.name, n, trees, count, width, w, lo,
-                t_lo, t_hi, n_lo, n_hi,
-                # Task payloads must be picklable plain objects; this is
-                # O(trees/shard) packing, not a per-node hot path.
-                offsets[t_lo:t_hi].tolist(),  # reprolint: disable=RL002
-                kernel,
-            )
-            for (t_lo, t_hi), (n_lo, n_hi) in zip(shards, ranges)
-        ]
-        pool.map(_solve_shard_task, tasks, chunksize=1)
-    times = ScenarioForestTimes(
-        tp=outs["tp"].T,
-        tde=outs["tde"].T,
-        tre=outs["tre"].T,
-        ree=outs["ree"].T,
-        total_capacitance=outs["total"].T,
+        chunk_planes = (
+            _chunk_matrix(plane_er, base_er, lo, hi, n),
+            _chunk_matrix(plane_ec, base_ec, lo, hi, n),
+            _chunk_matrix(plane_nc, base_nc, lo, hi, n),
+        )
+        _run_shards(partial(_solve_shard, chunk_planes, outs, slice(lo, hi)), shards)
+    ree, tde, tre, tp, total = outs
+    return ScenarioForestTimes(
+        tp=tp.T, tde=tde.T, tre=tre.T, ree=ree.T, total_capacitance=total.T
     )
-    # The arrays are zero-copy views into the result block; pin its owner to
-    # the record so the mapping lives exactly as long as the results do.
-    object.__setattr__(times, "_shared_block", holder)
-    return times
 
 
 register_backend(
@@ -749,8 +551,8 @@ register_backend(
     "process",
     _solve_process,
     parallel=True,
-    description="node-balanced shards solved by worker processes over "
-    "shared-memory element/result planes",
+    description="node-balanced shards solved on worker threads over "
+    "in-process planes",
 )
 register_backend(
     "contract",
@@ -762,9 +564,9 @@ register_backend(
 register_backend(
     "native",
     _solve_native,
-    parallel=True,
-    description="Numba JIT-compiled fused sweeps, serial or per-shard "
-    "inside the process machinery; degrades to numpy without Numba",
+    parallel=False,
+    description="Numba JIT-compiled fused sweeps, prange-parallel "
+    "in-process; degrades to numpy without Numba",
 )
 
 
@@ -801,7 +603,10 @@ def solve_forest_batch(
     if count < 1:
         raise AnalysisError(f"scenario count must be >= 1, got {count}")
     n = structure.node_count
-    planes = tuple(normalize_plane(plane, n, count) for plane in planes)
+    planes = tuple(
+        normalize_plane(plane, n, count, name)
+        for plane, name in zip(planes, PLANE_NAMES)
+    )
     if structure.levels is not None:
         depth = len(structure.levels) - 1
     else:

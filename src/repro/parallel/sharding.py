@@ -8,7 +8,7 @@ Two axes get partitioned:
   concatenated element array.  Shards are balanced by **total node count**
   (the solve is linear in nodes), not by tree count: one 500-node clock tree
   costs as much as 100 five-node signal nets.  Contiguity is what makes the
-  shared-memory handoff a pair of slice bounds instead of an index list.
+  shard handoff a pair of slice bounds instead of an index list.
 
 * **scenarios -> chunks** (:func:`scenario_chunks`): the scenario-batched
   kernels materialize ``(N, S)`` working planes; chunking the scenario axis

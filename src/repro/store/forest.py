@@ -6,7 +6,7 @@ shard file holds the node-major planes of a contiguous run of whole
 trees; a solve walks the shards, materializes one at a time (through a
 bounded hot-shard LRU), hands its arrays to the ordinary
 :func:`repro.parallel.solve_forest_batch` engine registry -- numpy,
-contract or native per shard, worker processes mapping the same files
+contract or native per shard, worker threads mapping the same files
 for ``jobs=N`` -- and streams the results into a memory-mapped result
 file.  The resident set is O(shard + scenario_chunk) no matter how large
 the design is, because every mapping is released as soon as its window
@@ -24,6 +24,8 @@ import os
 import tempfile
 import weakref
 from collections import OrderedDict
+from concurrent.futures import wait
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -33,7 +35,9 @@ from repro.flat.flattree import FlatTree, _scenario_count
 from repro.flat.forest import ForestTimes
 from repro.flat.scenarios import PlaneInput, ScenarioForestTimes, level_buckets
 from repro.parallel.engine import (
+    PLANE_NAMES,
     ForestStructure,
+    _pool,
     _solve_range,
     normalize_plane,
     solve_forest_batch,
@@ -189,36 +193,29 @@ def _write_batch_windows(
         release_memmap(*maps)
 
 
-#: One store-pool work item (everything a worker needs to map the files).
-_ShardTask = Tuple[
-    str, str, int, int, int, str, int, int, Tuple, Optional[str], Optional[int]
-]
+def _solve_stored_shard(
+    path: str,
+    record: ShardRecord,
+    node_lo: int,
+    tree_lo: int,
+    result_path: str,
+    total_nodes: int,
+    count: int,
+    planes: Tuple[Optional[np.ndarray], ...],
+    engine: Optional[str],
+    scenario_chunk: Optional[int],
+    tp: np.ndarray,
+    total: np.ndarray,
+) -> None:
+    """One shard task of a fanned-out solve: map, solve, write back.
 
-
-def _solve_stored_shard(task: _ShardTask) -> Tuple[np.ndarray, np.ndarray]:
-    """Worker-side shard solve: map the shard file, write the result file.
-
-    Runs in a :mod:`repro.parallel` pool process.  Nothing heavy crosses
-    the pickle boundary -- the worker maps the shard's planes straight
-    from disk and writes its result windows straight back, returning only
-    the small per-tree reductions.
+    Runs on a :mod:`repro.parallel` shard thread.  The task maps its own
+    copy of the shard file (the hot-shard LRU is not shared across
+    threads), solves it with one job -- a shard task never submits to the
+    executor it runs on -- and writes its result windows and per-tree rows
+    straight into the outputs.
     """
-    (
-        directory,
-        file_name,
-        nodes,
-        trees,
-        node_lo,
-        result_path,
-        total_nodes,
-        count,
-        planes,
-        engine,
-        scenario_chunk,
-    ) = task
-    hot = _load_hot_shard(os.path.join(directory, file_name), ShardRecord(
-        file_name=file_name, nodes=nodes, trees=trees, depth=0, level_counts=[]
-    ))
+    hot = _load_hot_shard(path, record)
     times = solve_forest_batch(
         hot.structure,
         (hot.edge_r, hot.edge_c, hot.node_c),
@@ -229,9 +226,9 @@ def _solve_stored_shard(task: _ShardTask) -> Tuple[np.ndarray, np.ndarray]:
         scenario_chunk=scenario_chunk,
     )
     _write_batch_windows(result_path, total_nodes, count, node_lo, times)
-    tp = np.ascontiguousarray(times.tp.T)
-    total = np.ascontiguousarray(times.total_capacitance.T)
-    return tp, total
+    tree_hi = tree_lo + record.trees
+    tp[tree_lo:tree_hi] = times.tp.T
+    total[tree_lo:tree_hi] = times.total_capacitance.T
 
 
 class StoredForest:
@@ -493,10 +490,10 @@ class StoredForest:
         / ``(S,)`` / ``(S, N)``); ``planes_for`` instead fabricates each
         shard's planes on demand (see :data:`PlaneFactory`) so the sweep
         never holds an ``(S, N)`` matrix.  With ``jobs >= 2`` and
-        broadcast-style planes the shards go to worker processes that map
-        the same files -- no shared-memory copies.  Node-indexed results
-        come back as memmap views over a scratch file that is deleted
-        when the result object is garbage collected.
+        broadcast-style planes the shards go to worker threads that each
+        map their own shard file.  Node-indexed results come back as
+        memmap views over a scratch file that is deleted when the result
+        object is garbage collected.
         """
         total_nodes = self.node_count
         total_trees = self.tree_count
@@ -510,8 +507,8 @@ class StoredForest:
         else:
             s = _scenario_count(count, edge_r, edge_c, node_c)
             planes = tuple(
-                normalize_plane(plane, total_nodes, s)
-                for plane in (edge_r, edge_c, node_c)
+                normalize_plane(plane, total_nodes, s, name)
+                for plane, name in zip((edge_r, edge_c, node_c), PLANE_NAMES)
             )
         if s < 1:
             raise AnalysisError(f"scenario count must be >= 1, got {s}")
@@ -584,35 +581,29 @@ class StoredForest:
         tp: np.ndarray,
         total: np.ndarray,
     ) -> None:
-        """Fan shards out to worker processes that map the same files."""
-        from repro.parallel.engine import _pool
-
+        """Fan shards out to the shard executor's worker threads."""
         worker_engine = None if engine == "process" else engine
-        tasks: List[_ShardTask] = []
-        for shard, record in enumerate(self._shards):
-            node_lo, _, _, _ = self.shard_bounds(shard)
-            tasks.append(
-                (
-                    self._directory,
-                    record.file_name,
-                    record.nodes,
-                    record.trees,
-                    node_lo,
-                    scratch_path,
-                    self.node_count,
-                    count,
-                    planes,
-                    worker_engine,
-                    scenario_chunk,
-                )
-            )
+        task = partial(
+            _solve_stored_shard,
+            result_path=scratch_path,
+            total_nodes=self.node_count,
+            count=count,
+            planes=planes,
+            engine=worker_engine,
+            scenario_chunk=scenario_chunk,
+            tp=tp,
+            total=total,
+        )
         pool = _pool(jobs)
-        for shard, (tp_shard, total_shard) in enumerate(
-            pool.map(_solve_stored_shard, tasks)
-        ):
-            _, _, tree_lo, tree_hi = self.shard_bounds(shard)
-            tp[tree_lo:tree_hi] = tp_shard
-            total[tree_lo:tree_hi] = total_shard
+        futures = []
+        for shard, record in enumerate(self._shards):
+            node_lo, _, tree_lo, _ = self.shard_bounds(shard)
+            futures.append(
+                pool.submit(task, self._shard_path(shard), record, node_lo, tree_lo)
+            )
+        wait(futures)  # no shard may still write once this call is over
+        for future in futures:
+            future.result()
 
     # ------------------------------------------------------------------
     # Incremental ECO

@@ -5,7 +5,7 @@ blocks) and flushes a shard file whenever the buffered node count reaches
 the shard target, so ingesting a million-instance design keeps peak RSS at
 O(shard) instead of O(design).  Trees are never split across shards --
 the shard is a contiguous run of whole trees, exactly the unit
-:func:`repro.parallel.plan_shards` hands to worker processes -- so every
+:func:`repro.parallel.plan_shards` hands to its shard workers -- so every
 downstream kernel consumes shard files unchanged.
 
 The writer is a context manager with transactional semantics: leaving the
@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core.exceptions import AnalysisError
 from repro.flat.flattree import FlatTree
+from repro.flat.scenarios import check_elements
 from repro.store.format import (
     INDEX_DTYPE,
     MANIFEST_NAME,
@@ -58,7 +59,7 @@ def _as_value(values: Sequence[float], name: str, nodes: int) -> np.ndarray:
     array = np.ascontiguousarray(values, dtype=VALUE_DTYPE)
     if array.shape != (nodes,):
         raise AnalysisError(f"{name} has shape {array.shape}, expected ({nodes},)")
-    return array
+    return check_elements(array, name)
 
 
 def _validate_block(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.exceptions import AnalysisError
+from repro.core.exceptions import AnalysisError, ElementValueError
 from repro.core.networks import figure7_tree
 from repro.flat import FlatForest, FlatTree
 from repro.generators import RandomTreeConfig, random_flat_tree, random_forest
@@ -62,6 +62,18 @@ class TestFlatTreeScenarios:
             flat.solve_batch(edge_r=np.ones((2, len(flat) + 1)))
         with pytest.raises(AnalysisError):
             flat.solve_batch(edge_r=np.ones(2), edge_c=np.ones(3))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+    def test_bad_element_values_rejected(self, bad):
+        # A negative R used to come back as a negative T_De, and inf as NaN
+        # with only a RuntimeWarning.
+        flat = FlatTree.from_tree(figure7_tree())
+        plane = np.ones((2, len(flat)))
+        plane[0, 1] = bad
+        with pytest.raises(ElementValueError, match="edge_r"):
+            flat.solve_batch(edge_r=plane)
+        with pytest.raises(ElementValueError, match="edge_c"):
+            flat.solve_batch(edge_c=np.array([bad, 1.0]))
 
     def test_single_scenario_cache_untouched(self):
         flat = FlatTree.from_tree(figure7_tree())

@@ -94,11 +94,6 @@ class TestResolveEngine:
         backend, jobs = resolve_engine(None, cells=AUTO_PROCESS_CELLS * 8)
         assert backend.name == "process" and jobs == 4
 
-    def test_daemonic_worker_degrades_to_serial(self, monkeypatch):
-        monkeypatch.setattr(backends_module, "_in_daemon_worker", lambda: True)
-        backend, jobs = resolve_engine("process", cells=AUTO_PROCESS_CELLS, jobs=4)
-        assert backend.name == "numpy" and jobs == 1
-
     def test_rejects_bad_jobs(self):
         with pytest.raises(AnalysisError):
             resolve_engine(None, cells=10, jobs=0)
@@ -136,8 +131,10 @@ class TestNativeSelection:
         monkeypatch.setattr(backends_module, "_native_ready", lambda: True)
 
     def test_big_sweep_escalation_prefers_native_shards(self):
+        # The compiled kernels are prange-parallel in-process, so a sweep
+        # past the sharding threshold runs them unsharded with one job.
         backend, jobs = resolve_engine(None, cells=AUTO_PROCESS_CELLS, jobs=4)
-        assert backend.name == "native" and jobs == 4
+        assert backend.name == "native" and jobs == 1
 
     def test_medium_sweep_runs_native_in_process(self):
         # Above AUTO_NATIVE_CELLS but below the process threshold: compiled
@@ -169,13 +166,6 @@ class TestNativeSelection:
         monkeypatch.setattr(backends_module, "_native_ready", boom)
         backend, _ = resolve_engine(None, cells=100, jobs=8)
         assert backend.name == "numpy"
-
-    def test_explicit_native_in_daemon_stays_native_serial(self, monkeypatch):
-        # Unlike "process" (which must degrade to numpy -- nested pools
-        # cannot exist), the compiled serial path is legal in a worker.
-        monkeypatch.setattr(backends_module, "_in_daemon_worker", lambda: True)
-        backend, jobs = resolve_engine("native", cells=AUTO_PROCESS_CELLS, jobs=4)
-        assert backend.name == "native" and jobs == 1
 
 
 class TestAffinityAwareJobs:

@@ -5,7 +5,7 @@ reduction order, so the contract here is stronger than the documented 1e-12
 relative tolerance: results are asserted *bitwise* equal.  ``jobs`` counts
 above the machine's core count are intentional -- correctness of the
 process backend does not depend on actual parallel speedup, so these tests
-exercise the shared-memory path even on a single-core runner.
+exercise the sharded path even on a single-core runner.
 """
 
 import gc
@@ -13,7 +13,7 @@ import gc
 import numpy as np
 import pytest
 
-from repro.core.exceptions import AnalysisError
+from repro.core.exceptions import AnalysisError, ElementValueError
 from repro.flat import FlatForest, FlatTree
 from repro.generators import random_design, random_flat_tree, random_forest
 from repro.generators import random_scenarios
@@ -21,6 +21,8 @@ from repro.graph import TimingGraph
 from repro.parallel import ForestStructure, solve_forest_batch
 
 TIME_FIELDS = ("tp", "tde", "tre", "ree", "total_capacitance")
+#: Element values the paper's bounds exclude: negative, infinite, NaN.
+BAD_VALUES = (-1.0, np.inf, np.nan)
 
 
 def assert_times_equal(got, want, fields=TIME_FIELDS):
@@ -148,6 +150,16 @@ class TestValidation:
     def test_bad_plane_shape(self, forest):
         with pytest.raises(AnalysisError, match="shape"):
             forest.solve_batch(edge_r=np.ones((2, 3)), count=2)
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    @pytest.mark.parametrize("engine", ["numpy", "process"])
+    def test_bad_element_values_raise(self, forest, bad, engine):
+        matrix = np.tile(forest._edge_r, (2, 1))
+        matrix[1, -1] = bad
+        with pytest.raises(ElementValueError, match="edge_r"):
+            forest.solve_batch(edge_r=matrix, engine=engine, jobs=2)
+        with pytest.raises(ElementValueError, match="node_c"):
+            forest.solve_batch(node_c=np.array([1.0, bad]), engine=engine, jobs=2)
 
     def test_unknown_engine(self, forest):
         with pytest.raises(AnalysisError, match="unknown engine"):

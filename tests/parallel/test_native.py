@@ -11,7 +11,7 @@ Three tiers, so the suite is meaningful on any machine:
   order, snapshot semantics -- executes as pure Python and is pinned
   against the numpy reference even on machines without Numba.
 * **Real-Numba tests** (``pytest.importorskip``) compile for real and
-  re-check parity, including the sharded ``jobs>=2`` composition.
+  re-check parity, including ``jobs>=2`` requests (which run unsharded).
 """
 
 import importlib
@@ -26,7 +26,6 @@ from repro.flat.contraction import jump_schedule, path_sums, subtree_sums
 from repro.flat.scenarios import level_buckets, sweep_scenarios
 from repro.generators import random_forest
 from repro.parallel import AUTO_PROCESS_CELLS, last_selection, resolve_engine
-from repro.parallel import engine as engine_module
 
 FIELDS = ("tp", "tde", "tre", "ree", "total_capacitance")
 
@@ -73,14 +72,11 @@ def stub_native(monkeypatch):
     monkeypatch.setitem(sys.modules, "numba", fake)
     monkeypatch.delenv(native_module.NATIVE_DISABLE_ENV, raising=False)
     module = importlib.reload(native_module)
-    # Fresh pools, so sharded solves fork workers that inherit the stub.
-    engine_module.shutdown_pools()
     try:
         yield module
     finally:
         sys.modules.pop("numba", None)
         importlib.reload(module)
-        engine_module.shutdown_pools()
 
 
 class TestFallback:
@@ -245,7 +241,8 @@ class TestStubKernels:
         result = forest.solve_batch(er, ec, nc, engine="native", jobs=2)
         _assert_same(result, reference)
         assert last_selection()["engine"] == "native"
-        assert last_selection()["jobs"] == 2
+        # "native" never shards: its compiled kernels run in-process.
+        assert last_selection()["jobs"] == 1
 
     def test_deep_forest_uses_compiled_contraction(self, stub_native, monkeypatch):
         from repro.flat.forest import FlatForest

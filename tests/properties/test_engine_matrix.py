@@ -8,8 +8,8 @@ chunk>S) agree at 1e-12 relative tolerance on every topology class of
 where Numba is not installed (or ``REPRO_DISABLE_NATIVE=1``) they degrade
 to the numpy kernels -- still a matrix cell worth pinning, since the
 degradation itself is part of the engine contract -- and with Numba they
-run the JIT-compiled kernels, serial and sharded (``process`` x ``native``
-composition).  (The design-level ECO axis -- ``update_net`` /
+run the JIT-compiled kernels in-process whatever ``jobs`` asks for.  (The
+design-level ECO axis -- ``update_net`` /
 ``resize_instance`` between parity checks -- is covered by
 ``test_parallel_parity.test_every_engine_agrees_on_pathological_topologies``.)
 
@@ -36,8 +36,8 @@ FIELDS = ("tp", "tde", "tre", "ree", "total_capacitance")
 
 #: The engine x jobs arms compared against the ``numpy`` reference.  The
 #: ``native`` arms compile where Numba exists and degrade to numpy where it
-#: does not; ``("native", 2)`` is the process x native composition (compiled
-#: kernel per shard).
+#: does not; ``("native", 2)`` pins that a worker count leaves the compiled
+#: kernels unsharded.
 ENGINE_ARMS = (
     ("contract", None),
     ("process", 2),

@@ -15,9 +15,16 @@ If the writer lock ever let two ECOs interleave, the coalescer ever
 scored a batch against half-applied state, or a query ever read between
 the lock acquire and the version stamp, some response would disagree with
 the serial replay and this test names the exact operation.
+
+The multi-session arm drives two sessions at once with the sharding
+threshold monkeypatched low, so their what-if solves run on the sharded
+``"process"`` engine concurrently from the server's executor threads --
+the production path where a shared engine cache would hand one session
+another session's numbers.
 """
 
 import asyncio
+import dataclasses
 import math
 import random
 
@@ -25,6 +32,7 @@ import pytest
 
 from repro.generators.random_designs import random_design
 from repro.graph import DesignDB, TimingGraph
+from repro.parallel import backends as backends_module
 from repro.serve import ServeClient, TimingServer
 from repro.serve.schema import parasitics_to_payload
 from repro.sta.cells import standard_cell_library
@@ -182,3 +190,69 @@ def test_concurrent_traffic_matches_serial_replay(seed, hang_guard):
     asyncio.run(main())
     assert log.mutations or log.queries
     _replay_and_check(design, parasitics, log)
+
+
+def _session_payload(name, design, parasitics):
+    return {
+        "name": name,
+        "netlist": design_to_dict(design),
+        "parasitics": [parasitics_to_payload(p) for p in parasitics.values()],
+    }
+
+
+def test_two_sessions_on_the_sharded_engine_match_serial_replay(
+    monkeypatch, hang_guard
+):
+    # Every what-if solve escalates to "process" with two workers, even on
+    # a one-core runner and with Numba installed.
+    monkeypatch.setattr(backends_module, "AUTO_PROCESS_CELLS", 1)
+    monkeypatch.setattr(backends_module, "default_job_count", lambda: 2)
+    monkeypatch.setattr(backends_module, "_native_ready", lambda: False)
+    process = backends_module.get_backend("process")
+    sharded_solves = []
+
+    def counting_solver(*args):
+        sharded_solves.append(1)
+        return process.solver(*args)
+
+    monkeypatch.setitem(
+        backends_module._REGISTRY,
+        "process",
+        dataclasses.replace(process, solver=counting_solver),
+    )
+    sessions = {}
+    for index, name in enumerate(("alpha", "beta")):
+        design, parasitics = random_design(100 - 20 * index, seed=10 + index)
+        nets = sorted(DesignDB(design, parasitics).timed_nets())
+        sessions[name] = (design, parasitics, nets, _OpLog())
+
+    async def main():
+        server = TimingServer(port=0, tick=0.001)
+        await server.start()
+        clients = []
+        try:
+            admin = ServeClient("127.0.0.1", server.port)
+            await admin.connect()
+            clients.append(admin)
+            workers = []
+            for index, (name, (design, parasitics, nets, log)) in enumerate(
+                sessions.items()
+            ):
+                await admin.create_session(_session_payload(name, design, parasitics))
+                for worker in range(WORKERS // 2):
+                    client = ServeClient("127.0.0.1", server.port)
+                    await client.connect()
+                    clients.append(client)
+                    rng = random.Random(7000 + 10 * index + worker)
+                    workers.append(_worker(client, name, rng, design, nets, log))
+            await asyncio.wait_for(asyncio.gather(*workers), DEADLINE)
+        finally:
+            for client in clients:
+                await client.close()
+            await server.stop()
+
+    asyncio.run(main())
+    assert sharded_solves, "no solve reached the sharded engine"
+    for design, parasitics, _, log in sessions.values():
+        assert log.mutations or log.queries
+        _replay_and_check(design, parasitics, log)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.exceptions import AnalysisError
+from repro.core.exceptions import AnalysisError, ElementValueError
 from repro.generators import RandomTreeConfig, random_flat_tree
 from repro.store import MANIFEST_NAME, Manifest, ShardStoreWriter
 from repro.store.format import read_shard_arrays
@@ -169,6 +169,15 @@ class TestValidation:
         writer = ShardStoreWriter(str(tmp_path / "s"))
         with pytest.raises(AnalysisError):
             writer.add_tree([-1, 0], [0.0], [0.0, 0.0], [1.0, 1.0])
+        writer.abort()
+
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+    def test_rejects_bad_element_values(self, tmp_path, bad):
+        writer = ShardStoreWriter(str(tmp_path / "s"))
+        with pytest.raises(ElementValueError, match="node_c"):
+            writer.add_tree([-1, 0], [0.0, 1.0], [0.0, 0.0], [1.0, bad])
+        with pytest.raises(ElementValueError, match="edge_r"):
+            writer.add_block([0, 2], [-1, 0], [0.0, bad], [0.0, 0.0], [1.0, 1.0])
         writer.abort()
 
     def test_rejects_empty_tree(self, tmp_path):

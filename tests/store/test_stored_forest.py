@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.exceptions import AnalysisError
+from repro.core.exceptions import AnalysisError, ElementValueError
 from repro.flat import FlatForest
 from repro.generators import RandomTreeConfig, random_flat_tree
 from repro.store import ShardStoreWriter, StoredForest
@@ -135,6 +135,12 @@ class TestSolveParity:
                 np.asarray(getattr(serial, name)),
                 rtol=RTOL,
             )
+
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+    def test_batch_rejects_bad_element_values(self, workload, bad):
+        _, stored = workload
+        with pytest.raises(ElementValueError, match="edge_c"):
+            stored.solve_batch(edge_c=np.array([1.0, bad]), jobs=2)
 
     def test_batch_validates_inputs(self, workload):
         _, stored = workload

@@ -175,134 +175,6 @@ class TestDtypeDiscipline:
 
 
 # ----------------------------------------------------------------------
-# RL003 shared-memory lifetime
-# ----------------------------------------------------------------------
-class TestShmLifetime:
-    def test_fires_on_ndarray_over_buffer(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "repro/parallel/worker.py",
-            """
-            import numpy as np
-
-            def view(shm, n):
-                return np.ndarray((n,), dtype=np.float64, buffer=shm.buf)
-            """,
-        )
-        assert "RL003" in rules_fired(result)
-
-    def test_fires_on_unpaired_owning_allocation(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "repro/parallel/blocks.py",
-            """
-            from multiprocessing.shared_memory import SharedMemory
-
-            def allocate(nbytes):
-                return SharedMemory(create=True, size=nbytes)
-            """,
-        )
-        assert "RL003" in rules_fired(result)
-
-    def test_fires_on_unguarded_close_after_view(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "repro/parallel/oops.py",
-            """
-            import numpy as np
-
-            def read(shm):
-                view = np.frombuffer(shm.buf, dtype=np.float64)
-                total = view.sum()
-                shm.close()
-                return total
-            """,
-        )
-        assert "RL003" in rules_fired(result)
-
-    def test_silent_on_finalize_paired_owner(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "repro/parallel/blocks.py",
-            """
-            import weakref
-            from multiprocessing.shared_memory import SharedMemory
-
-            def _release(shm):
-                try:
-                    shm.close()
-                except BufferError:
-                    pass
-                shm.unlink()
-
-            class Block:
-                def __init__(self, nbytes):
-                    self.shm = SharedMemory(create=True, size=nbytes)
-                    weakref.finalize(self, _release, self.shm)
-            """,
-        )
-        assert "RL003" not in rules_fired(result)
-
-    def test_silent_on_atexit_wired_cache_owner(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "repro/parallel/cache.py",
-            """
-            import atexit
-            from multiprocessing.shared_memory import SharedMemory
-
-            _CACHE = {}
-
-            def _release(shm):
-                try:
-                    shm.close()
-                except BufferError:
-                    pass
-                try:
-                    shm.unlink()
-                except Exception:
-                    pass
-
-            def _release_all():
-                for shm in _CACHE.values():
-                    _release(shm)
-
-            atexit.register(_release_all)
-
-            def allocate(key, nbytes):
-                if key in _CACHE:
-                    _release(_CACHE.pop(key))
-                shm = SharedMemory(create=True, size=nbytes)
-                _CACHE[key] = shm
-                return shm
-            """,
-        )
-        assert "RL003" not in rules_fired(result)
-
-    def test_silent_on_attach_side_and_guarded_teardown(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "repro/parallel/worker.py",
-            """
-            import numpy as np
-            from multiprocessing.shared_memory import SharedMemory
-
-            def work(name):
-                shm = SharedMemory(name=name)
-                view = np.frombuffer(shm.buf, dtype=np.float64)
-                total = view.sum()
-                del view
-                try:
-                    shm.close()
-                except BufferError:
-                    pass
-                return total
-            """,
-        )
-        assert "RL003" not in rules_fired(result)
-
-
-# ----------------------------------------------------------------------
 # RL004 cache invalidation
 # ----------------------------------------------------------------------
 CONTRACT = CacheContract(

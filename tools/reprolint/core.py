@@ -95,8 +95,7 @@ class LintConfig:
         "_solve_contract",
         "_solve_native",
         "_solve_process",
-        "_solve_process_impl",
-        "_solve_shard_into",
+        "_solve_shard",
         "solve_forest_batch",
         "sweep_scenarios_native",
         "sweep_scenarios_contract_native",

@@ -5,10 +5,9 @@ Two checks, both scoped to the kernel modules
 
 * Every ``np.empty`` / ``np.zeros`` / ``np.ones`` / ``np.full`` call
   must pass an explicit ``dtype=``.  The planes these allocate are the
-  shared-memory element/result planes; a dtype left to numpy's default
-  works today but breaks bitwise parity (and the ``itemsize``
-  arithmetic in the process backend) the moment a platform or numpy
-  release changes the default.  ``*_like`` allocators are exempt --
+  element/result planes the shards write into; a dtype left to numpy's
+  default works today but breaks bitwise parity the moment a platform or
+  numpy release changes the default.  ``*_like`` allocators are exempt --
   they inherit their dtype from an existing plane, which is the point.
 * Inside kernel *functions*, ``.tolist()`` and ``float(...)``
   scalarization are flagged: both drop from the vectorized plane to

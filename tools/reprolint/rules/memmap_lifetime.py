@@ -6,8 +6,7 @@ by *releasing* shard mappings as soon as they are consumed: a dirty
 (or, for the scratch result files, after the file has already been
 unlinked), and a mapping that is never dropped pins a shard-sized window
 of address space for the life of the process -- precisely the failure the
-store exists to avoid.  The discipline mirrors RL003's shared-memory
-contract:
+store exists to avoid.  Two checks keep that discipline:
 
 * **placement** -- raw ``np.memmap(...)`` construction is confined to the
   store package (``LintConfig.memmap_package``); everywhere else must go
@@ -21,7 +20,7 @@ contract:
   themselves are exempt: a factory's whole job is returning an unreleased
   mapping to its caller.
 
-Both checks are name-based and path-insensitive, like RL003/RL004: a
+Both checks are name-based and path-insensitive, like RL004: a
 release behind a conditional counts, which keeps false positives out at
 the cost of trusting branch structure.
 """

@@ -10,8 +10,8 @@ half of that contract, module-wide (any file may grow a JIT kernel):
 
 * Every JIT-decorated function (decorator names in
   :attr:`LintConfig.jit_decorators`) must pass ``cache=True`` so the
-  compiled artifact persists on disk and forked workers load it instead
-  of recompiling.  A bare ``@njit`` or an ``@njit(parallel=True)``
+  compiled artifact persists on disk and every new process loads it
+  instead of recompiling.  A bare ``@njit`` or an ``@njit(parallel=True)``
   without ``cache=True`` is flagged.
 * Every import of an accelerator module
   (:attr:`LintConfig.jit_import_modules`, default ``numba``) must be
@@ -49,7 +49,7 @@ class NativeKernelRule(Rule):
     rule_id = "RL007"
     title = "JIT kernels declare cache=True; accelerator imports stay guarded"
     rationale = (
-        "Uncached JIT kernels recompile in every forked worker; an "
+        "Uncached JIT kernels recompile in every new process; an "
         "unguarded accelerator import turns an optional speedup into a "
         "hard dependency that crashes machines without it."
     )
@@ -73,8 +73,8 @@ class NativeKernelRule(Rule):
                     ctx.module,
                     decorator,
                     f"JIT kernel `{node.name}` must declare `cache=True` so "
-                    "forked shard workers load the on-disk artifact instead "
-                    "of recompiling per process",
+                    "every process loads the on-disk artifact instead "
+                    "of recompiling",
                 )
 
     def finish_module(self, module: Module, config: LintConfig) -> None:
