@@ -13,9 +13,10 @@ at once with a handful of vectorized sweeps:
   single-output queries that never re-traverse the whole network;
 * :class:`FlatForest` -- many trees concatenated and solved together, so a
   thousand small nets cost barely more than one;
-* scenario batching -- ``solve_batch`` on both classes runs the same level
-  sweeps over ``(S, N)`` element planes, evaluating corners, derates and
-  what-if candidates side by side (:mod:`repro.flat.scenarios`);
+* :mod:`repro.flat.scenarios` -- the one forest kernel behind every solve
+  above (a tree is a forest of one); ``solve_batch`` on both classes runs
+  it over ``(S, N)`` element planes, evaluating corners, derates and
+  what-if candidates side by side;
 * :mod:`repro.flat.contraction` -- the pointer-jumping twin of the level
   sweeps: O(log N) contraction rounds regardless of topology, the kernel
   behind ``engine="contract"`` for chain-heavy forests;

@@ -19,7 +19,10 @@ reverse (deep-to-shallow) accumulation of downstream capacitance and a
 forward (shallow-to-deep) accumulation of the path recurrences for ``T_De``
 and ``T_Re R_ee``, including the closed-form distributed-URC line
 contributions -- but each level is processed as one numpy gather/scatter
-instead of a Python loop over dict-keyed nodes.  The arithmetic per node is
+instead of a Python loop over dict-keyed nodes.  Those passes are the
+forest kernel of :mod:`repro.flat.scenarios` run on the tree as a forest of
+one, so a tree solved alone and the same tree inside a forest agree bit for
+bit.  The arithmetic per node is
 kept *identical* to the dict-based reference (same operations, same
 association, same child order), so the two engines agree to the last ulp on
 the per-output recurrences and to rounding order on the global sums; the
@@ -43,10 +46,10 @@ tests rely on):
 The moment arrays (``T_P``, ``T_De``, ``T_Re R_ee``) are invalidated and
 recomputed lazily: a full :meth:`solve` re-runs the vectorized sweeps, while
 :meth:`characteristic_times` of a *single* output recomputes just that
-output's path recurrence from the cached aggregates in O(depth), which is
-what lets the optimization loops (:mod:`repro.opt.sizing`,
-:mod:`repro.opt.buffering`) evaluate thousands of candidates without ever
-rebuilding a tree.
+output's path recurrence from the cached aggregates in O(depth), plus the
+O(N) vectorized ``T_P`` reduction every output shares.  An edit-and-query
+loop therefore never rebuilds a tree (``benchmarks/bench_flat_engine.py``
+measures it).
 
 Complexity: compilation is one O(N) walk; a solve is O(N) work spread over
 O(depth) numpy calls.  Bushy trees (clock trees, signal nets, the random
@@ -72,14 +75,21 @@ from repro.core.timeconstants import CharacteristicTimes
 from repro.core.tree import RCTree
 from repro.flat.batchbounds import delay_bounds_batch, voltage_bounds_batch
 from repro.flat.scenarios import (
+    PLANE_NAMES,
     PlaneInput,
     ScenarioTimes,
-    as_node_matrix,
+    chunk_matrix,
     level_buckets,
+    normalize_plane,
+    solve_range,
     sweep_scenarios,
+    tree_sums,
 )
 
 __all__ = ["FlatTree", "FlatTimes"]
+
+#: ``starts`` of a forest of one: the tree's only root is node 0.
+_ONE_TREE = np.zeros(1, dtype=np.int64)
 
 
 def _scenario_count(count: Optional[int], *planes: PlaneInput) -> int:
@@ -202,6 +212,8 @@ class FlatTree:
             raise TopologyError("parent array must have one entry per node")
         if self._parent[0] != -1:
             raise TopologyError("node 0 must be the input (parent -1)")
+        if self._edge_r[0] != 0.0 or self._edge_c[0] != 0.0:
+            raise TopologyError("the input node has no incoming edge")
         if n > 1:
             rest = self._parent[1:]
             if np.any(rest < 0) or np.any(rest >= np.arange(1, n)):
@@ -264,14 +276,9 @@ class FlatTree:
 
     def _build_aggregates(self) -> None:
         """Cached aggregates: path resistance and downstream capacitance."""
-        rkk = self._edge_r.copy()  # root entry is 0
-        for level in self._levels[1:]:
-            rkk[level] += rkk[self._parent[level]]
-        self._rkk_cache = rkk
-        c_down = self._node_c.copy()
-        for level in reversed(self._levels[1:]):
-            np.add.at(c_down, self._parent[level], c_down[level] + self._edge_c[level])
-        self._c_down_cache = c_down
+        self._rkk_cache, self._c_down_cache, _, _ = sweep_scenarios(
+            self._levels, self._parent, self._edge_r, self._edge_c, self._node_c
+        )
 
     @property
     def _rkk(self) -> np.ndarray:
@@ -590,42 +597,24 @@ class FlatTree:
     # ------------------------------------------------------------------
     # Analysis
     # ------------------------------------------------------------------
-    def _compute_tp(self) -> float:
-        rkk_parent = self._rkk[np.maximum(self._parent, 0)]
-        # The root gathers itself (rkk == 0), so no masking is needed.
-        lumped = np.dot(self._rkk, self._node_c)
-        distributed = np.dot(rkk_parent + self._edge_r / 2.0, self._edge_c)
-        return float(lumped + distributed)
-
     def solve(self) -> FlatTimes:
-        """Characteristic times of every node, recomputing only when stale."""
+        """Characteristic times of every node, recomputing only when stale.
+
+        The forest kernel run on this tree as a forest of one, over its own
+        ``(N,)`` arrays -- bitwise the same times the tree gets inside any
+        forest, batch or shard store.
+        """
         if self._times is None:
-            n = self._n
-            parent = self._parent
-            edge_r = self._edge_r
-            edge_c = self._edge_c
-            c_down = self._c_down
-            rkk = self._rkk
-            tde = np.zeros(n, dtype=np.float64)
-            tr_num = np.zeros(n, dtype=np.float64)
-            for level in self._levels[1:]:
-                p = parent[level]
-                r = edge_r[level]
-                lc = edge_c[level]
-                below = c_down[level]
-                rk = rkk[level]
-                rp = rkk[p]
-                tde[level] = tde[p] + r * (below + lc / 2.0)
-                tr_num[level] = tr_num[p] + (rk * rk - rp * rp) * below + (rp * r + r * r / 3.0) * lc
-            tre = np.divide(
-                tr_num, rkk, out=np.zeros(n, dtype=np.float64), where=rkk > 0.0
+            ree, tde, tre, tp, total = solve_range(
+                self._parent,
+                self._levels,
+                _ONE_TREE,
+                self._edge_r,
+                self._edge_c,
+                self._node_c,
             )
             self._times = FlatTimes(
-                tp=self._compute_tp(),
-                tde=tde,
-                tre=tre,
-                ree=rkk.copy(),
-                total_capacitance=self.total_capacitance,
+                tp=tp[0], tde=tde, tre=tre, ree=ree, total_capacitance=total[0]
             )
         return self._times
 
@@ -642,7 +631,7 @@ class FlatTree:
         Each plane is ``None`` (the tree's own values for every scenario), a
         ``(S,)`` vector of per-scenario *effective* values broadcast over the
         nodes, or a full ``(S, N)`` matrix of effective element values.  The
-        level sweeps run over ``(N, S)`` matrices -- the per-node arithmetic
+        forest kernel runs over ``(N, S)`` matrices -- the per-node arithmetic
         is the single-scenario :meth:`solve` verbatim -- and the result
         carries a leading scenario axis.  The single-scenario solve cache is
         untouched: batched solves neither read nor invalidate it, and
@@ -650,19 +639,20 @@ class FlatTree:
         solve because the base arrays are re-read per call.
         """
         s = _scenario_count(count, edge_r, edge_c, node_c)
-        er = as_node_matrix(edge_r, self._edge_r, s, "edge_r")
-        ec = as_node_matrix(edge_c, self._edge_c, s, "edge_c")
-        nc = as_node_matrix(node_c, self._node_c, s, "node_c")
-        rkk, c_down, tde, tre = sweep_scenarios(self._levels, self._parent, er, ec, nc)
-        rkk_parent = rkk[np.maximum(self._parent, 0)]
-        # The root has no parent edge; zero its gathered row so a plane that
-        # puts elements on the root edge (only reachable through trusted
-        # from_arrays construction) stays consistent with the forest kernel.
-        rkk_parent[self._parent < 0] = 0.0
-        tp = (rkk * nc + (rkk_parent + er / 2.0) * ec).sum(axis=0)
-        total = nc.sum(axis=0) + ec.sum(axis=0)
+        n = self._n
+        er, ec, nc = (
+            chunk_matrix(normalize_plane(plane, n, s, name), base, 0, s, n)
+            for plane, base, name in zip(
+                (edge_r, edge_c, node_c),
+                (self._edge_r, self._edge_c, self._node_c),
+                PLANE_NAMES,
+            )
+        )
+        ree, tde, tre, tp, total = solve_range(
+            self._parent, self._levels, _ONE_TREE, er, ec, nc
+        )
         return ScenarioTimes(
-            tp=tp, tde=tde.T, tre=tre.T, ree=rkk.T, total_capacitance=total
+            tp=tp[0], tde=tde.T, tre=tre.T, ree=ree.T, total_capacitance=total[0]
         )
 
     def solve_scenarios(self, scenarios: Any) -> ScenarioTimes:
@@ -722,7 +712,8 @@ class FlatTree:
 
         Reads the solved arrays when they are fresh; after an incremental
         update it recomputes just this output's path recurrence (O(depth))
-        plus the vectorized ``T_P`` sum, without a full solve.
+        from the cached aggregates plus the kernel's O(N) ``T_P`` and
+        ``C_T`` reductions, without a full solve.
         """
         i = output if isinstance(output, int) else self.index(output)
         if self._times is not None:
@@ -736,8 +727,16 @@ class FlatTree:
             ree = self._rkk[i]
             tre = float(tr_num / ree) if ree > 0.0 else 0.0
             tde = float(tde)
-            tp = self._compute_tp()
-            total = self.total_capacitance
+            tps, totals = tree_sums(
+                self._parent,
+                _ONE_TREE,
+                self._rkk,
+                self._edge_r,
+                self._edge_c,
+                self._node_c,
+            )
+            tp = float(tps[0])
+            total = float(totals[0])
         return CharacteristicTimes(
             output=self._names[i],
             tp=tp,
@@ -754,15 +753,7 @@ class FlatTree:
 
         Defaults to the marked outputs, or every node when none are marked.
         """
-        if outputs is None:
-            indices = self.output_indices
-            if len(indices) == 0:
-                indices = np.arange(self._n)
-        else:
-            indices = np.asarray(
-                [o if isinstance(o, int) else self.index(o) for o in outputs],
-                dtype=np.int64,
-            )
+        indices = self._select(outputs)
         times = self.solve()
         return {
             self._names[i]: CharacteristicTimes(

@@ -3,7 +3,9 @@
 A :class:`FlatForest` concatenates the arrays of many :class:`~repro.flat.flattree.FlatTree`
 instances into one set of vectors (each tree's nodes stay contiguous, each
 root keeps parent ``-1``) and runs the two characteristic-time passes over
-**all trees simultaneously**.  Because the per-depth sweeps operate on global
+**all trees simultaneously** -- the forest kernel
+:func:`repro.flat.scenarios.solve_range`, the same one every single-tree,
+batched and stored solve runs.  Because the per-depth sweeps operate on global
 level buckets, the number of numpy calls is set by the *deepest* tree in the
 batch rather than by the number of trees -- analysing 1000 shallow nets costs
 barely more than analysing one.
@@ -34,7 +36,12 @@ from repro.core.timeconstants import CharacteristicTimes
 from repro.core.tree import RCTree
 from repro.flat.batchbounds import delay_bounds_batch, voltage_bounds_batch
 from repro.flat.flattree import FlatTimes, FlatTree, _scenario_count
-from repro.flat.scenarios import PlaneInput, ScenarioForestTimes, level_buckets
+from repro.flat.scenarios import (
+    PlaneInput,
+    ScenarioForestTimes,
+    level_buckets,
+    solve_range,
+)
 
 if TYPE_CHECKING:  # runtime import stays inside `structure` (layer order)
     from repro.parallel.engine import ForestStructure
@@ -187,43 +194,16 @@ class FlatForest:
     def solve(self) -> ForestTimes:
         """Characteristic times of every node of every tree, batched."""
         if self._times is None:
-            n = self._n
-            parent = self._parent
-            edge_r = self._edge_r
-            edge_c = self._edge_c
-            node_c = self._node_c
-            # Aggregates (same sweeps as FlatTree, over global levels).
-            rkk = edge_r.copy()
-            for level in self._levels[1:]:
-                rkk[level] += rkk[parent[level]]
-            c_down = node_c.copy()
-            for level in reversed(self._levels[1:]):
-                np.add.at(c_down, parent[level], c_down[level] + edge_c[level])
-            # Moments.
-            tde = np.zeros(n, dtype=np.float64)
-            tr_num = np.zeros(n, dtype=np.float64)
-            for level in self._levels[1:]:
-                p = parent[level]
-                r = edge_r[level]
-                lc = edge_c[level]
-                below = c_down[level]
-                rk = rkk[level]
-                rp = rkk[p]
-                tde[level] = tde[p] + r * (below + lc / 2.0)
-                tr_num[level] = tr_num[p] + (rk * rk - rp * rp) * below + (rp * r + r * r / 3.0) * lc
-            tre = np.divide(
-                tr_num, rkk, out=np.zeros(n, dtype=np.float64), where=rkk > 0.0
-            )
-            # Per-tree T_P and total capacitance via segmented sums.
-            rkk_parent = rkk[np.maximum(parent, 0)]
-            tp_terms = rkk * node_c + (rkk_parent + edge_r / 2.0) * edge_c
-            bins = self._tree_id
-            tp = np.bincount(bins, weights=tp_terms, minlength=self._tree_count)
-            total = np.bincount(
-                bins, weights=node_c + edge_c, minlength=self._tree_count
+            ree, tde, tre, tp, total = solve_range(
+                self._parent,
+                self._levels,
+                self._offsets[:-1],
+                self._edge_r,
+                self._edge_c,
+                self._node_c,
             )
             self._times = ForestTimes(
-                tp=tp, tde=tde, tre=tre, ree=rkk, total_capacitance=total
+                tp=tp, tde=tde, tre=tre, ree=ree, total_capacitance=total
             )
         return self._times
 
@@ -268,8 +248,8 @@ class FlatForest:
 
         ``engine`` selects a :mod:`repro.parallel` backend by name
         (``"numpy"`` serial, ``"process"`` sharded workers, ``"contract"``
-        pointer jumping, ``"native"`` Numba JIT-compiled kernels -- serial
-        or per shard, degrading to ``"numpy"`` without Numba; ``None``
+        pointer jumping, ``"native"`` Numba JIT-compiled kernels, degrading
+        to ``"numpy"`` without Numba; ``None``
         auto-selects by sweep size and depth pathology), ``jobs`` caps the
         worker count, and ``scenario_chunk`` overrides the bounded-memory
         chunk width.  Every backend returns numerically identical results

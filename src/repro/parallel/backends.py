@@ -100,10 +100,11 @@ ENGINE_LOG_ENV = "REPRO_ENGINE_LOG"
 class KernelBackend:
     """One registered execution strategy for the scenario-batched solve.
 
-    ``solver`` has the engine signature ``solver(structure, base, planes,
-    count, jobs, chunk)`` (see :func:`repro.parallel.engine.solve_forest_batch`,
-    which dispatches to it); ``parallel`` marks backends that fan out to
-    workers and therefore consume a ``jobs`` count.
+    ``solver(structure, jobs)`` plans the solve: it returns the node-range
+    shards, each carrying its two-pass sweep, that
+    :func:`repro.parallel.engine.solve_forest_batch` then runs chunk by
+    chunk through the one forest kernel.  ``parallel`` marks backends that
+    fan out to workers and therefore consume a ``jobs`` count.
     """
 
     name: str

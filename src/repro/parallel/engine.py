@@ -1,4 +1,4 @@
-"""The sharded multi-core solve engine behind ``engine="process"``.
+"""The chunked solve engine behind every ``engine=`` backend.
 
 :func:`solve_forest_batch` is the single entry point every scenario-batched
 caller funnels through (:meth:`repro.flat.FlatForest.solve_batch` delegates
@@ -6,25 +6,32 @@ here, which carries :meth:`repro.graph.DesignDB.solve_scenarios`,
 :meth:`repro.graph.TimingGraph.analyze_scenarios`,
 :func:`repro.apps.corners.corner_sweep` and the CLI's ``timing --jobs``
 along).  It normalizes the element planes, picks a backend through
-:func:`repro.parallel.backends.resolve_engine`, and runs the paper's two
-characteristic-time passes chunk by chunk over the scenario axis.
+:func:`repro.parallel.backends.resolve_engine`, and runs the forest kernel
+:func:`repro.flat.scenarios.solve_range` chunk by chunk over the scenario
+axis.
 
-Execution model of the sharded backend
---------------------------------------
+Execution model
+---------------
 
-* The forest is partitioned into contiguous, node-balanced shards
-  (:func:`repro.parallel.sharding.plan_shards`).  Because every tree's nodes
-  are contiguous and no level sweep ever reads across tree boundaries, a
-  shard solve is **bitwise identical** to the same trees' rows of a
-  whole-forest solve -- the 1e-12 parity the tests pin is really exact
-  equality.
-* Shards run on threads over in-process planes: the calling thread solves
-  the first shard and the shard executor's worker threads the rest.  Each
-  shard reads row slices of the chunk's node-major ``(N, w)`` element
-  matrices and writes its results straight into its rows of the
-  preallocated result arrays; numpy releases the GIL inside the sweeps'
-  gathers, scatters and arithmetic, so the shards overlap on separate
-  cores.  Nothing is copied between shards and the caller.
+* A backend is a shard plan.  The serial backends run the whole forest as
+  one shard carrying their two-pass sweep: ``"numpy"`` the level sweeps,
+  ``"contract"`` the pointer-jumping rounds, ``"native"`` the compiled
+  kernels.  ``"process"`` partitions the forest into contiguous,
+  node-balanced shards (:func:`repro.parallel.sharding.plan_shards`).
+  Because every tree's nodes are contiguous and no level sweep ever reads
+  across tree boundaries, a shard solve is **bitwise identical** to the
+  same trees' rows of a whole-forest solve -- the 1e-12 parity the tests
+  pin is really exact equality.  Only a depth-pathological shard of a
+  sharded solve contracts; a forest that plans to one shard runs the
+  level sweeps.
+* One chunk loop runs every plan.  Shards run on threads over
+  in-process planes: the calling thread solves the first shard and the
+  shard executor's worker threads the rest.  Each shard reads row slices
+  of the chunk's node-major ``(N, w)`` element matrices and writes its
+  results straight into its rows of the preallocated result arrays; numpy
+  releases the GIL inside the sweeps' gathers, scatters and arithmetic, so
+  the shards overlap on separate cores.  Nothing is copied between shards
+  and the caller.
 * The scenario axis is processed in bounded chunks
   (:func:`repro.parallel.sharding.scenario_chunks`), so a 256-scenario
   sweep of a large design never materializes more than a few
@@ -34,9 +41,8 @@ Execution model of the sharded backend
   its own frame, so concurrent callers never share state.  Nothing about a
   *forest* is cached in this module, so incremental edits
   (:meth:`~repro.flat.FlatForest.replace_tree`,
-  :meth:`~repro.graph.DesignDB.update_net`) invalidate exactly as they do
-  for the serial path -- the next solve simply reads the forest's current
-  arrays.
+  :meth:`~repro.graph.DesignDB.update_net`) need no invalidation here --
+  the next solve simply reads the forest's current arrays.
 """
 
 from __future__ import annotations
@@ -52,11 +58,13 @@ import numpy as np
 from repro.core.exceptions import AnalysisError
 from repro.flat.contraction import jump_schedule, sweep_scenarios_contract
 from repro.flat.scenarios import (
-    PlaneInput,
+    PLANE_NAMES,
     ScenarioForestTimes,
-    check_elements,
+    SweepFn,
+    chunk_matrix,
     level_buckets,
-    sweep_scenarios,
+    normalize_plane,
+    solve_range,
 )
 from repro.parallel.backends import (
     record_selection,
@@ -68,18 +76,10 @@ from repro.parallel.sharding import plan_shards, scenario_chunks, shard_node_ran
 
 __all__ = ["ForestStructure", "solve_forest_batch", "shutdown_pools"]
 
-#: A substitute two-pass kernel: ``(parent, er, ec, nc)`` node-major
-#: matrices in, ``(rkk, c_down, tde, tre)`` out (the contraction sweeps
-#: with their jump schedule baked in).
-SweepFn = Callable[
-    [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-]
 #: The forest's base element arrays, in ``(edge_r, edge_c, node_c)`` order.
 BasePlanes = Tuple[np.ndarray, np.ndarray, np.ndarray]
-#: The element planes in ``(edge_r, edge_c, node_c)`` order, by name.
-PLANE_NAMES = ("edge_r", "edge_c", "node_c")
-#: Normalized scenario planes (outputs of :func:`normalize_plane`), same order.
+#: Normalized scenario planes (outputs of
+#: :func:`repro.flat.scenarios.normalize_plane`), same order.
 ScenarioPlanes = Tuple[
     Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]
 ]
@@ -113,189 +113,49 @@ class ForestStructure:
         return int(len(self.offsets) - 1)
 
 
-def normalize_plane(
-    values: PlaneInput, n: int, count: int, name: str = "scenario plane"
-) -> Optional[np.ndarray]:
-    """Validate one scenario plane without materializing the ``(N, S)`` matrix.
+# ----------------------------------------------------------------------
+# Shards: what each backend runs
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Shard:
+    """One node range's local topology and kernel, prepared once per solve.
 
-    Returns ``None`` (use base values), a ``(S,)`` per-scenario vector, or a
-    ``(S, N)`` matrix -- the same shapes
-    :func:`repro.flat.scenarios.as_node_matrix` accepts, but kept in their
-    compact form so chunked execution can slice scenarios lazily.
-    Non-finite or negative values raise
-    :class:`~repro.core.exceptions.ElementValueError`.
+    ``sweep=None`` runs the level sweeps over ``levels``; otherwise
+    ``sweep`` is the substitute two-pass kernel (contraction or compiled)
+    and ``levels`` is not read.
     """
-    if values is None:
-        return None
-    array = check_elements(np.asarray(values, dtype=float), name)
-    if array.ndim == 1:
-        if array.shape[0] != count:
-            raise AnalysisError(
-                f"scenario vector has {array.shape[0]} entries, expected {count}"
-            )
-        return array
-    if array.shape != (count, n):
-        raise AnalysisError(
-            f"scenario plane has shape {array.shape}, expected ({count}, {n})"
-        )
-    return array
+
+    nodes: slice
+    trees: slice
+    parent: np.ndarray
+    levels: Sequence[np.ndarray]
+    starts: np.ndarray
+    sweep: Optional[SweepFn]
 
 
-def _chunk_matrix(
-    values: Optional[np.ndarray], base: np.ndarray, lo: int, hi: int, n: int
-) -> np.ndarray:
-    """The node-major ``(N, hi-lo)`` effective element matrix for [lo, hi).
-
-    Copy-free when the caller's plane is already node-major underneath (an
-    ``(S, N)`` array that is a transposed view of a C-contiguous ``(N, S)``
-    matrix, the layout :meth:`repro.graph.DesignDB.solve_scenarios` builds);
-    otherwise one materialization, exactly like the pre-parallel
-    ``as_node_matrix`` path.
-    """
-    w = hi - lo
-    if values is None:
-        return np.ascontiguousarray(np.broadcast_to(base[:, np.newaxis], (n, w)))
-    if values.ndim == 1:
-        return np.ascontiguousarray(np.broadcast_to(values[np.newaxis, lo:hi], (n, w)))
-    return np.ascontiguousarray(values[lo:hi].T)
+def _levels_of(structure: ForestStructure) -> List[np.ndarray]:
+    """The forest's level buckets, derived from ``depth`` when not carried."""
+    if structure.levels is not None:
+        return structure.levels
+    return level_buckets(structure.depth)
 
 
-def _solve_range(
-    parent: np.ndarray,
+def _whole_forest(
+    structure: ForestStructure,
     levels: Sequence[np.ndarray],
-    starts: np.ndarray,
-    er: np.ndarray,
-    ec: np.ndarray,
-    nc: np.ndarray,
-    sweep: Optional[SweepFn] = None,
-    out: Optional[Tuple[np.ndarray, ...]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The forest kernel over one contiguous node range.
-
-    ``parent`` must be range-local (roots ``-1``), ``starts`` the local
-    first-node index of each member tree.  Returns ``(ree, tde, tre, tp,
-    total)`` with the node-indexed arrays shaped like ``er`` and the
-    per-tree reductions shaped ``(trees, S)``.  With the default level
-    sweeps the arithmetic -- including the per-tree ``reduceat`` order --
-    is exactly the whole-forest kernel's, which is what makes shard results
-    bitwise identical to serial results; ``sweep`` substitutes an
-    alternative two-pass kernel with the :func:`sweep_scenarios` signature
-    minus ``levels`` (the contraction kernel), which keeps the documented
-    1e-12 parity instead.  ``out`` optionally supplies the five result
-    arrays (e.g. one shard's rows of a whole-forest result): the level
-    sweeps and reductions then write into them directly, a substitute
-    sweep's node arrays are copied in, and ``out`` is what is returned.
-    """
-    if sweep is None:
-        rkk, c_down, tde, tre = sweep_scenarios(
-            levels, parent, er, ec, nc, out=None if out is None else out[:3]
+    sweep: Optional[SweepFn],
+) -> List[_Shard]:
+    """The whole forest as a single shard: the plan of every serial backend."""
+    return [
+        _Shard(
+            nodes=slice(None),
+            trees=slice(None),
+            parent=structure.parent,
+            levels=levels,
+            starts=np.asarray(structure.offsets[:-1], dtype=np.int64),
+            sweep=sweep,
         )
-    else:
-        rkk, c_down, tde, tre = sweep(parent, er, ec, nc)
-        if out is not None:
-            out[0][...] = rkk
-            out[1][...] = tde
-            out[2][...] = tre
-            rkk, tde, tre = out[:3]
-    del c_down  # not a result; one fewer plane alive through the reductions
-    # The gathered parent path resistance, turned in place into the T_P
-    # terms ``rkk * nc + (rkk_parent + er / 2) * ec`` (same operations, same
-    # bits as the expression, without its temporaries).
-    tp_terms = rkk[np.maximum(parent, 0)]
-    # A root has no parent edge: its gathered "parent" row above is whatever
-    # node sits at local index 0, which differs between a whole-forest solve
-    # and a shard solve.  Base forests keep root edge elements at zero so the
-    # term vanishes either way, but solve_batch accepts arbitrary planes --
-    # zero the root rows explicitly so every node range, sharded or not,
-    # computes the identical (and well-defined) T_P contribution.
-    tp_terms[parent < 0] = 0.0
-    tp_terms += er / 2.0
-    tp_terms *= ec
-    tp_terms += rkk * nc
-    tp = np.add.reduceat(tp_terms, starts, axis=0, out=None if out is None else out[3])
-    total = np.add.reduceat(
-        nc + ec, starts, axis=0, out=None if out is None else out[4]
-    )
-    return rkk, tde, tre, tp, total
-
-
-# ----------------------------------------------------------------------
-# Serial backends ("numpy" and "contract")
-# ----------------------------------------------------------------------
-def _solve_serial(
-    structure: ForestStructure,
-    base: BasePlanes,
-    planes: ScenarioPlanes,
-    count: int,
-    chunk: Optional[int],
-    sweep: Optional[SweepFn] = None,
-) -> ScenarioForestTimes:
-    """Chunked in-process execution of the forest kernel.
-
-    ``sweep=None`` runs the level sweeps (the ``"numpy"`` reference path);
-    a ``sweep`` callable substitutes another two-pass kernel -- the
-    contraction backend passes the pointer-jumping sweeps with their jump
-    schedule baked in, so chunked solves pay the topology pass once.
-    """
-    n = structure.node_count
-    trees = structure.tree_count
-    parent = structure.parent
-    levels = structure.levels
-    if levels is None and sweep is None:
-        levels = level_buckets(structure.depth)
-    starts = np.asarray(structure.offsets[:-1], dtype=np.int64)
-    chunks = scenario_chunks(count, n, chunk=chunk)
-    base_er, base_ec, base_nc = base
-    plane_er, plane_ec, plane_nc = planes
-
-    if len(chunks) == 1:
-        # Whole sweep fits one working set: solve in place, return views.
-        er = _chunk_matrix(plane_er, base_er, 0, count, n)
-        ec = _chunk_matrix(plane_ec, base_ec, 0, count, n)
-        nc = _chunk_matrix(plane_nc, base_nc, 0, count, n)
-        ree, tde, tre, tp, total = _solve_range(
-            parent, levels, starts, er, ec, nc, sweep=sweep
-        )
-        return ScenarioForestTimes(
-            tp=tp.T, tde=tde.T, tre=tre.T, ree=ree.T, total_capacitance=total.T
-        )
-
-    out_tde = np.empty((n, count), dtype=np.float64)
-    out_tre = np.empty((n, count), dtype=np.float64)
-    out_ree = np.empty((n, count), dtype=np.float64)
-    out_tp = np.empty((trees, count), dtype=np.float64)
-    out_total = np.empty((trees, count), dtype=np.float64)
-    for lo, hi in chunks:
-        er = _chunk_matrix(plane_er, base_er, lo, hi, n)
-        ec = _chunk_matrix(plane_ec, base_ec, lo, hi, n)
-        nc = _chunk_matrix(plane_nc, base_nc, lo, hi, n)
-        ree, tde, tre, tp, total = _solve_range(
-            parent, levels, starts, er, ec, nc, sweep=sweep
-        )
-        out_ree[:, lo:hi] = ree
-        out_tde[:, lo:hi] = tde
-        out_tre[:, lo:hi] = tre
-        out_tp[:, lo:hi] = tp
-        out_total[:, lo:hi] = total
-    return ScenarioForestTimes(
-        tp=out_tp.T,
-        tde=out_tde.T,
-        tre=out_tre.T,
-        ree=out_ree.T,
-        total_capacitance=out_total.T,
-    )
-
-
-def _solve_numpy(
-    structure: ForestStructure,
-    base: BasePlanes,
-    planes: ScenarioPlanes,
-    count: int,
-    jobs: int,
-    chunk: Optional[int],
-) -> ScenarioForestTimes:
-    """Chunked serial execution of the level sweeps (the reference path)."""
-    return _solve_serial(structure, base, planes, count, chunk)
+    ]
 
 
 def _contract_sweep(parent: np.ndarray) -> SweepFn:
@@ -314,23 +174,16 @@ def _contract_sweep(parent: np.ndarray) -> SweepFn:
     return sweep
 
 
-def _solve_contract(
-    structure: ForestStructure,
-    base: BasePlanes,
-    planes: ScenarioPlanes,
-    count: int,
-    jobs: int,
-    chunk: Optional[int],
-) -> ScenarioForestTimes:
-    """Chunked serial execution of the pointer-jumping contraction kernels."""
-    return _solve_serial(
-        structure, base, planes, count, chunk, sweep=_contract_sweep(structure.parent)
-    )
+def _numpy_shards(structure: ForestStructure, jobs: int) -> List[_Shard]:
+    """``"numpy"``: the level sweeps over the whole forest (the reference)."""
+    return _whole_forest(structure, _levels_of(structure), None)
 
 
-# ----------------------------------------------------------------------
-# Compiled backend ("native")
-# ----------------------------------------------------------------------
+def _contract_shards(structure: ForestStructure, jobs: int) -> List[_Shard]:
+    """``"contract"``: the pointer-jumping sweeps over the whole forest."""
+    return _whole_forest(structure, (), _contract_sweep(structure.parent))
+
+
 def _native_sweep_for(
     parent: np.ndarray, levels: Sequence[np.ndarray]
 ) -> Optional[SweepFn]:
@@ -352,44 +205,17 @@ def _native_sweep_for(
     return native.native_sweeps_for(parent, levels, deep)
 
 
-def _solve_native(
-    structure: ForestStructure,
-    base: BasePlanes,
-    planes: ScenarioPlanes,
-    count: int,
-    jobs: int,
-    chunk: Optional[int],
-) -> ScenarioForestTimes:
-    """Chunked in-process execution of the JIT-compiled kernels.
+def _native_shards(structure: ForestStructure, jobs: int) -> List[_Shard]:
+    """``"native"``: the compiled kernels over the whole forest.
 
     The compiled kernels are ``prange``-parallel across scenario blocks
     already, so this backend never shards (``jobs`` is unused).  If the
-    kernels turn out unusable the numpy path runs --
+    kernels turn out unusable the level sweeps run --
     :func:`solve_forest_batch` normally swaps the backend (and records the
     reason) before ever dispatching here, so this is a second belt.
     """
-    levels = structure.levels
-    if levels is None:
-        levels = level_buckets(structure.depth)
-    sweep = _native_sweep_for(structure.parent, levels)
-    if sweep is None:
-        return _solve_numpy(structure, base, planes, count, 1, chunk)
-    return _solve_serial(structure, base, planes, count, chunk, sweep=sweep)
-
-
-# ----------------------------------------------------------------------
-# Sharded backend ("process")
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _Shard:
-    """One shard's range-local topology, prepared once per solve."""
-
-    nodes: slice
-    trees: slice
-    parent: np.ndarray
-    levels: List[np.ndarray]
-    starts: np.ndarray
-    sweep: Optional[SweepFn]
+    levels = _levels_of(structure)
+    return _whole_forest(structure, levels, _native_sweep_for(structure.parent, levels))
 
 
 def _plan_shard(
@@ -422,8 +248,27 @@ def _plan_shard(
     )
 
 
+def _process_shards(structure: ForestStructure, jobs: int) -> List[_Shard]:
+    """``"process"``: node-balanced shards (see the module docstring).
+
+    A forest that plans to one shard runs the whole-forest level sweeps,
+    exactly the ``"numpy"`` plan.
+    """
+    offsets = np.asarray(structure.offsets, dtype=np.int64)
+    tree_ranges = plan_shards(offsets, jobs)
+    if len(tree_ranges) == 1:
+        return _numpy_shards(structure, 1)
+    node_ranges = shard_node_ranges(offsets, tree_ranges)
+    return _run_shards(
+        partial(_plan_shard, structure, offsets), list(zip(tree_ranges, node_ranges))
+    )
+
+
+# ----------------------------------------------------------------------
+# The chunk loop every backend runs
+# ----------------------------------------------------------------------
 def _solve_shard(
-    planes: BasePlanes,
+    planes: Sequence[np.ndarray],
     outs: Tuple[np.ndarray, ...],
     columns: slice,
     shard: _Shard,
@@ -432,7 +277,7 @@ def _solve_shard(
     rows, trees = shard.nodes, shard.trees
     er, ec, nc = (plane[rows] for plane in planes)
     ree, tde, tre, tp, total = outs
-    _solve_range(
+    solve_range(
         shard.parent,
         shard.levels,
         shard.starts,
@@ -486,10 +331,10 @@ def _run_shards(
     """Run ``task`` on every item at once, results in order.
 
     The calling thread takes the first item itself and the shard executor
-    the rest, so a two-shard solve needs one worker thread.  Besides the
-    dispatch this saves memory: the C allocator keeps a per-thread arena
-    resident at its high-water mark, and the caller's arena is already
-    there.
+    the rest, so a two-shard solve needs one worker thread and a one-shard
+    solve none.  Besides the dispatch this saves memory: the C allocator
+    keeps a per-thread arena resident at its high-water mark, and the
+    caller's arena is already there.
     """
     futures = [_pool(len(items) - 1).submit(task, item) for item in items[1:]]
     try:
@@ -499,25 +344,23 @@ def _run_shards(
     return [first] + [future.result() for future in futures]
 
 
-def _solve_process(
+def _solve_chunks(
     structure: ForestStructure,
     base: BasePlanes,
     planes: ScenarioPlanes,
     count: int,
-    jobs: int,
     chunk: Optional[int],
+    shards: Sequence[_Shard],
 ) -> ScenarioForestTimes:
-    """Node-balanced shards solved on worker threads (see the module docstring)."""
+    """Run ``shards`` over every scenario chunk into preallocated results.
+
+    Each chunk materializes the node-major ``(N, w)`` element matrices once
+    and every shard writes its rows of the chunk's columns in place, so the
+    serial backends (one whole-forest shard) and ``"process"`` (many) share
+    one execution path.
+    """
     n = structure.node_count
     trees = structure.tree_count
-    offsets = np.asarray(structure.offsets, dtype=np.int64)
-    tree_ranges = plan_shards(offsets, jobs)
-    if len(tree_ranges) == 1:
-        return _solve_numpy(structure, base, planes, count, 1, chunk)
-    node_ranges = shard_node_ranges(offsets, tree_ranges)
-    shards = _run_shards(
-        partial(_plan_shard, structure, offsets), list(zip(tree_ranges, node_ranges))
-    )
     outs = (
         np.empty((n, count), dtype=np.float64),
         np.empty((n, count), dtype=np.float64),
@@ -525,14 +368,10 @@ def _solve_process(
         np.empty((trees, count), dtype=np.float64),
         np.empty((trees, count), dtype=np.float64),
     )
-    base_er, base_ec, base_nc = base
-    plane_er, plane_ec, plane_nc = planes
     chunks = scenario_chunks(count, n, chunk=chunk)
     for lo, hi in chunks:
-        chunk_planes = (
-            _chunk_matrix(plane_er, base_er, lo, hi, n),
-            _chunk_matrix(plane_ec, base_ec, lo, hi, n),
-            _chunk_matrix(plane_nc, base_nc, lo, hi, n),
+        chunk_planes = tuple(
+            chunk_matrix(plane, values, lo, hi, n) for plane, values in zip(planes, base)
         )
         _run_shards(partial(_solve_shard, chunk_planes, outs, slice(lo, hi)), shards)
     ree, tde, tre, tp, total = outs
@@ -543,27 +382,27 @@ def _solve_process(
 
 register_backend(
     "numpy",
-    _solve_numpy,
+    _numpy_shards,
     parallel=False,
     description="serial vectorized kernels, in-process (the reference path)",
 )
 register_backend(
     "process",
-    _solve_process,
+    _process_shards,
     parallel=True,
     description="node-balanced shards solved on worker threads over "
     "in-process planes",
 )
 register_backend(
     "contract",
-    _solve_contract,
+    _contract_shards,
     parallel=False,
     description="pointer-jumping tree contraction: O(log N) rounds "
     "regardless of depth, for chain-heavy forests",
 )
 register_backend(
     "native",
-    _solve_native,
+    _native_shards,
     parallel=False,
     description="Numba JIT-compiled fused sweeps, prange-parallel "
     "in-process; degrades to numpy without Numba",
@@ -634,4 +473,5 @@ def solve_forest_batch(
         jobs=jobs,
         reason=reason,
     )
-    return backend.solver(structure, base, planes, count, jobs, scenario_chunk)
+    shards = backend.solver(structure, jobs)
+    return _solve_chunks(structure, base, planes, count, scenario_chunk, shards)

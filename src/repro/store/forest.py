@@ -33,15 +33,15 @@ import numpy as np
 from repro.core.exceptions import AnalysisError
 from repro.flat.flattree import FlatTree, _scenario_count
 from repro.flat.forest import ForestTimes
-from repro.flat.scenarios import PlaneInput, ScenarioForestTimes, level_buckets
-from repro.parallel.engine import (
+from repro.flat.scenarios import (
     PLANE_NAMES,
-    ForestStructure,
-    _pool,
-    _solve_range,
+    PlaneInput,
+    ScenarioForestTimes,
+    level_buckets,
     normalize_plane,
-    solve_forest_batch,
+    solve_range,
 )
+from repro.parallel.engine import ForestStructure, _pool, solve_forest_batch
 from repro.store.format import (
     INDEX_DTYPE,
     depths_from_parent,
@@ -421,7 +421,7 @@ class StoredForest:
         ]
         for shard in dirty:
             hot = self.materialize(shard)
-            ree, tde, tre, tp, total = _solve_range(
+            ree, tde, tre, tp, total = solve_range(
                 hot.parent,
                 hot.levels,
                 hot.starts[:-1],

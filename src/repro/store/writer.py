@@ -252,13 +252,21 @@ class ShardStoreWriter:
         depth_arr = _validate_block(
             starts, parent, None if depth is None else _as_index(depth, "depth")
         )
+        edge_r_arr = _as_value(edge_r, "edge_r", nodes)
+        edge_c_arr = _as_value(edge_c, "edge_c", nodes)
+        roots = starts[:-1]
+        if edge_r_arr[roots].any() or edge_c_arr[roots].any():
+            raise AnalysisError(
+                "a tree's input node has no incoming edge:"
+                " edge_r and edge_c must be zero at each tree start"
+            )
         self._blocks.append(
             (
                 starts,
                 parent,
                 depth_arr,
-                _as_value(edge_r, "edge_r", nodes),
-                _as_value(edge_c, "edge_c", nodes),
+                edge_r_arr,
+                edge_c_arr,
                 _as_value(node_c, "node_c", nodes),
             )
         )

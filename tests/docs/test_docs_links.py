@@ -67,3 +67,26 @@ def test_generated_api_reference_is_current():
     assert module.generate() == on_disk, (
         "docs/api.md is stale; regenerate with: python tools/gen_api_docs.py"
     )
+
+
+def test_line_anchor_must_land_on_a_definition(tmp_path):
+    tool = _load_tool()
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "mod.py").write_text(
+        "LIMIT = 3\n"
+        "\n"
+        "@staticmethod\n"
+        "def kernel(x):\n"
+        "    y = x + 1\n"
+        "    return y\n"
+        "\n"
+        "class Tree:\n"
+        "    size: int\n",
+        encoding="utf-8",
+    )
+    for line in ("1", "3", "4", "5", "8", "9"):
+        assert tool.check_file_anchor("src/mod.py", line, root=tmp_path) == ""
+    for line in ("2", "6"):
+        problem = tool.check_file_anchor("src/mod.py", line, root=tmp_path)
+        assert "does not land on a def" in problem
+    assert "only 9 lines" in tool.check_file_anchor("src/mod.py", "12", root=tmp_path)

@@ -126,6 +126,17 @@ class TestFromArrays:
         with pytest.raises(ElementValueError):
             FlatTree.from_arrays([-1, 0], [0.0, -1.0], [0.0] * 2, [0.0] * 2)
 
+    @pytest.mark.parametrize(
+        "edge_r, edge_c", [([5.0, 1.0], [0.0, 0.0]), ([0.0, 1.0], [3e-12, 0.0])]
+    )
+    def test_root_edge_elements_rejected(self, edge_r, edge_c):
+        # The input node has no incoming edge; an element there would leak
+        # into the T_P of whichever tree a forest solve gathers it for.
+        with pytest.raises(TopologyError, match="no incoming edge"):
+            FlatTree.from_arrays([-1, 0], edge_r, edge_c, [0.0, 1e-12])
+        with pytest.raises(TopologyError, match="no incoming edge"):
+            FlatTree(["in", "n1"], [-1, 0], edge_r, edge_c, [0.0, 1e-12], [False, True])
+
 
 class TestAllOutputs:
     def test_matches_dict_engine_on_ladder(self):

@@ -180,6 +180,17 @@ class TestValidation:
             writer.add_block([0, 2], [-1, 0], [0.0, bad], [0.0, 0.0], [1.0, 1.0])
         writer.abort()
 
+    def test_rejects_root_edge_elements(self, tmp_path):
+        writer = ShardStoreWriter(str(tmp_path / "s"))
+        with pytest.raises(AnalysisError, match="no incoming edge"):
+            writer.add_tree([-1, 0], [5.0, 1.0], [0.0, 0.0], [0.0, 1.0])
+        with pytest.raises(AnalysisError, match="no incoming edge"):
+            writer.add_block(
+                [0, 2, 4], [-1, 0, -1, 2], [0.0, 1.0, 0.0, 1.0],
+                [0.0, 0.0, 3.0, 0.0], [1.0] * 4,
+            )
+        writer.abort()
+
     def test_rejects_empty_tree(self, tmp_path):
         writer = ShardStoreWriter(str(tmp_path / "s"))
         with pytest.raises(AnalysisError):

@@ -7,11 +7,18 @@ Fixtures are written under ``tmp_path`` at repo-like relative paths
 the real tree.
 """
 
+import ast
 import textwrap
 
 import pytest
 
-from tools.reprolint.core import CacheContract, Finding, make_config, run_paths
+from tools.reprolint.core import (
+    CacheContract,
+    Finding,
+    LintConfig,
+    make_config,
+    run_paths,
+)
 
 
 def lint(tmp_path, rel, source, config=None):
@@ -50,7 +57,7 @@ class TestKernelPurity:
             tmp_path,
             "repro/parallel/engine.py",
             """
-            def _solve_range(levels):
+            def _solve_chunks(levels):
                 i = 0
                 while i < 10:
                     i += 1
@@ -95,6 +102,21 @@ class TestKernelPurity:
         assert "RL001" not in rules_fired(result)
 
 
+    def test_every_kernel_function_is_defined_in_a_kernel_module(self):
+        # RL001/RL002 match kernel functions by name, so a renamed or moved
+        # kernel would silently drop out of their scope.
+        config = LintConfig()
+        defined = set()
+        for suffix in config.kernel_modules:
+            source = (config.repo_root / "src" / suffix).read_text(encoding="utf-8")
+            defined.update(
+                node.name
+                for node in ast.walk(ast.parse(source))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+        assert sorted(set(config.kernel_functions) - defined) == []
+
+
 # ----------------------------------------------------------------------
 # RL002 dtype discipline
 # ----------------------------------------------------------------------
@@ -117,7 +139,7 @@ class TestDtypeDiscipline:
             tmp_path,
             "repro/parallel/engine.py",
             """
-            def _solve_numpy(plane):
+            def _solve_shard(plane):
                 return plane.tolist()
             """,
         )

@@ -7,7 +7,9 @@ Scans ``README.md`` and every ``docs/*.md`` for
   attribute) -- the module part must import and the trailing attribute, when
   present, must resolve;
 * ``path:line`` anchors (``src/repro/core/bounds.py:137``) -- the file must
-  exist and contain at least that many lines;
+  exist and contain at least that many lines, and a line anchor into a
+  Python file must land on a definition: a ``def``, ``class``, decorator or
+  assignment line, so an anchor that drifts onto a body line fails;
 * relative markdown links (``[text](docs/paper_map.md)``) -- the target file
   must exist.
 
@@ -26,6 +28,8 @@ repository root (CI does); also exercised as ``tests/docs/test_docs_links.py``.
 
 from __future__ import annotations
 
+import ast
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -81,14 +85,33 @@ def check_module_reference(reference: str) -> str:
     return f"{reference}: no importable prefix"
 
 
-def check_file_anchor(path: str, line: str) -> str:
-    target = REPO_ROOT / path
+@functools.lru_cache(maxsize=None)
+def definition_lines(target: Path) -> frozenset:
+    """Line numbers of every def, class, decorator and assignment in ``target``."""
+    tree = ast.parse(target.read_text(encoding="utf-8"), filename=str(target))
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            lines.add(node.lineno)
+            lines.update(decorator.lineno for decorator in node.decorator_list)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            lines.add(node.lineno)
+    return frozenset(lines)
+
+
+def check_file_anchor(path: str, line: str, root: Path = REPO_ROOT) -> str:
+    target = root / path
     if not target.exists():
         return f"{path}: file does not exist"
     if line:
         count = len(target.read_text(encoding="utf-8").splitlines())
         if int(line) > count:
             return f"{path}:{line}: file has only {count} lines"
+        if target.suffix == ".py" and int(line) not in definition_lines(target):
+            return (
+                f"{path}:{line}: anchor does not land on a def, class,"
+                " decorator or assignment line"
+            )
     return ""
 
 

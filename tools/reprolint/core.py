@@ -89,12 +89,9 @@ class LintConfig:
         "path_sums",
         "subtree_sums",
         "_build_aggregates",
-        "_solve_range",
-        "_solve_serial",
-        "_solve_numpy",
-        "_solve_contract",
-        "_solve_native",
-        "_solve_process",
+        "solve_range",
+        "tree_sums",
+        "_solve_chunks",
         "_solve_shard",
         "solve_forest_batch",
         "sweep_scenarios_native",
