@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.flat import FlatForest
-from repro.flat.contraction import last_round_count
+from repro.flat.contraction import jump_schedule
 from repro.generators.random_trees import RandomTreeConfig, random_flat_tree
 from repro.utils.tables import format_table
 
@@ -114,7 +114,7 @@ def test_contraction_beats_level_sweeps_on_chains(benchmark, forests, report):
         forest = forests[name]
         serial = forest.solve_batch(count=N_SCENARIOS, engine="numpy")
         contracted = forest.solve_batch(count=N_SCENARIOS, engine="contract")
-        rounds[name] = last_round_count()
+        rounds[name] = len(jump_schedule(forest.structure.parent))
         parity = _parity(contracted, serial)
         worst_parity = max(worst_parity, parity)
         assert parity < 1e-12, f"{name}: worst relative mismatch {parity:.3e}"

@@ -17,8 +17,7 @@ The workload is a streamed million-net random design
 * **parity** -- the persisted out-of-core results agree at rtol 1e-12 with
   an in-RAM :func:`repro.parallel.solve_forest_batch` reference on a ~50k-net
   prefix subsample (the streamed generator is seed-stable block for block),
-  under the numpy backend and -- where Numba is importable -- the native one.
-  A memory bound over results that disagree would be meaningless.
+  under the numpy backend.  A memory bound over results that disagree would be meaningless.
 
 ``REPRO_BENCH_STORE_NETS`` scales the design (default 1,000,000 nets) so the
 same benchmark smoke-tests in seconds under CI's constrained address space.
@@ -32,7 +31,6 @@ import sys
 import numpy as np
 import pytest
 
-from repro.flat.native import native_available
 from repro.generators import stream_random_nets
 from repro.parallel import ForestStructure, solve_forest_batch
 from repro.store import StoredForest
@@ -111,7 +109,7 @@ def out_of_core_run(tmp_path_factory):
     return stats
 
 
-def _subsample_reference(engine):
+def _subsample_reference():
     """In-RAM solve of the seed-stable ~50k-net prefix of the same stream."""
     blocks = list(
         stream_random_nets(
@@ -133,15 +131,8 @@ def _subsample_reference(engine):
     depth = depths_from_parent(parent)
     structure = ForestStructure(parent=parent, depth=depth, offsets=offsets)
     base = tuple(np.concatenate(part) for part in planes)
-    times = solve_forest_batch(structure, base, (None, None, None), 1, engine=engine)
+    times = solve_forest_batch(structure, base, (None, None, None), 1, engine="numpy")
     return offsets, times
-
-
-def _engines():
-    engines = ["numpy"]
-    if native_available():
-        engines.append("native")
-    return engines
 
 
 def test_out_of_core_store(out_of_core_run, report):
@@ -163,19 +154,18 @@ def test_out_of_core_store(out_of_core_run, report):
     # --- parity oracle on the seed-stable prefix subsample -----------
     stored = StoredForest(stats["directory"])
     stored_times = stored.solve()
-    for engine in _engines():
-        offsets, reference = _subsample_reference(engine)
-        n = int(offsets[-1])
-        trees = int(offsets.shape[0]) - 1
-        np.testing.assert_allclose(
-            np.asarray(stored_times.tde[:n]), reference.tde[0], rtol=RTOL
-        )
-        np.testing.assert_allclose(
-            np.asarray(stored_times.tre[:n]), reference.tre[0], rtol=RTOL
-        )
-        np.testing.assert_allclose(
-            np.asarray(stored_times.tp[:trees]), reference.tp[0], rtol=RTOL
-        )
+    offsets, reference = _subsample_reference()
+    n = int(offsets[-1])
+    trees = int(offsets.shape[0]) - 1
+    np.testing.assert_allclose(
+        np.asarray(stored_times.tde[:n]), reference.tde[0], rtol=RTOL
+    )
+    np.testing.assert_allclose(
+        np.asarray(stored_times.tre[:n]), reference.tre[0], rtol=RTOL
+    )
+    np.testing.assert_allclose(
+        np.asarray(stored_times.tp[:trees]), reference.tp[0], rtol=RTOL
+    )
     subsample_nets = SUBSAMPLE_BLOCKS * BLOCK_NETS
 
     # --- report -------------------------------------------------------
@@ -194,8 +184,7 @@ def test_out_of_core_store(out_of_core_run, report):
                       + ("asserted" if rss_oracle else
                          f"informational below {RSS_ORACLE_MIN_NETS:,} nets")
                       + ")"),
-        ("parity subsample", f"{subsample_nets:,} nets @ rtol {RTOL:g}"
-                             f" [{', '.join(_engines())}]"),
+        ("parity subsample", f"{subsample_nets:,} nets @ rtol {RTOL:g} [numpy]"),
     ]
     report(
         "out-of-core shard store (streamed ingest + solve)",

@@ -31,12 +31,10 @@ Subcommands
     derates, per-net scales, threshold/period overrides) in one batched pass
     and reports per-scenario results; ``--jobs N`` runs that sweep on the
     sharded multi-core engine (:mod:`repro.parallel`) with ``N`` worker
-    processes (``--jobs 1`` forces the serial backend; the default
+    threads (``--jobs 1`` forces the serial backend; the default
     auto-selects by sweep size), and ``--engine NAME`` pins a registered
     kernel backend outright (``auto``, ``numpy``, ``process``,
-    ``contract``, ``native`` -- the last is the Numba JIT-compiled kernel
-    path, degrading to ``numpy`` where Numba is unavailable), overriding
-    the ``--jobs``-derived choice.  ``--store DIR`` streams the stage
+    ``contract``), overriding the ``--jobs``-derived choice.  ``--store DIR`` streams the stage
     forest into a memory-mapped shard store (:mod:`repro.store`) and
     solves out of core, bounding resident memory by one shard instead of
     the design.  Exit status 1 when the (overall) verdict is FAIL, 2 when
@@ -277,11 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     timing.add_argument(
         "--engine", default=None,
-        choices=["auto", "numpy", "process", "contract", "native"],
+        choices=["auto", "numpy", "process", "contract"],
         help="kernel backend for the corner-sweep solve; requires --corners "
         "(default: auto-select by sweep size and depth; overrides the "
-        "--jobs-derived choice; 'native' runs the JIT-compiled kernels and "
-        "falls back to 'numpy' without Numba)",
+        "--jobs-derived choice)",
     )
     timing.add_argument(
         "--model", default="upper_bound",
@@ -316,9 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--engine", default=None,
-        choices=["auto", "numpy", "process", "contract", "native"],
+        choices=["auto", "numpy", "process", "contract"],
         help="default kernel backend for session solves (sessions may "
-        "override at creation; 'native' falls back to 'numpy' without Numba)",
+        "override at creation)",
     )
     serve.add_argument(
         "--executor-workers", type=int, default=4,

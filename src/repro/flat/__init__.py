@@ -20,10 +20,6 @@ at once with a handful of vectorized sweeps:
 * :mod:`repro.flat.contraction` -- the pointer-jumping twin of the level
   sweeps: O(log N) contraction rounds regardless of topology, the kernel
   behind ``engine="contract"`` for chain-heavy forests;
-* :mod:`repro.flat.native` -- Numba JIT-compiled twins of both kernel
-  families (fused level sweeps, compiled contraction rounds), the kernel
-  behind ``engine="native"``; imported lazily, never a hard dependency,
-  degrading to the numpy kernels when Numba is absent;
 * :mod:`repro.flat.batchbounds` -- eqs. (8)-(17) evaluated over
   (sinks x thresholds) matrices in one numpy call.
 
@@ -43,7 +39,6 @@ from repro.flat.batchbounds import (
 )
 from repro.flat.contraction import (
     jump_schedule,
-    last_round_count,
     path_sums,
     subtree_sums,
     sweep_scenarios_contract,
@@ -66,7 +61,6 @@ __all__ = [
     "voltage_lower_bound_batch",
     "voltage_upper_bound_batch",
     "jump_schedule",
-    "last_round_count",
     "path_sums",
     "subtree_sums",
     "sweep_scenarios_contract",

@@ -49,7 +49,7 @@ the contract of :class:`repro.parallel.ForestStructure`.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -58,22 +58,11 @@ __all__ = [
     "path_sums",
     "subtree_sums",
     "sweep_scenarios_contract",
-    "last_round_count",
 ]
-
-#: Rounds executed by the most recent :func:`sweep_scenarios_contract` call
-#: (the jump-schedule length; each of the kernel's passes replays the same
-#: schedule).  Observability hook for the O(log N) regression tests.
-_LAST_ROUNDS: List[int] = [0]
 
 #: One pointer-jumping round: ``(nodes, targets)`` -- the live node indices
 #: and the node each one currently points at.
 Round = Tuple[np.ndarray, np.ndarray]
-
-#: Signature shared by :func:`path_sums` / :func:`subtree_sums` and their
-#: compiled twins in :mod:`repro.flat.native`: weight plane + schedule in,
-#: accumulated plane out.
-SumFn = Callable[[np.ndarray, List[Round]], np.ndarray]
 
 
 def jump_schedule(parent: np.ndarray) -> List[Round]:
@@ -136,9 +125,6 @@ def sweep_scenarios_contract(
     edge_c: np.ndarray,
     node_c: np.ndarray,
     schedule: Optional[List[Round]] = None,
-    *,
-    path_fn: Optional[SumFn] = None,
-    subtree_fn: Optional[SumFn] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The two characteristic-time passes via pointer jumping.
 
@@ -148,16 +134,10 @@ def sweep_scenarios_contract(
     tuple out, but O(log depth) contraction rounds instead of O(depth)
     level sweeps.  ``schedule`` may carry a precomputed
     :func:`jump_schedule` so chunked solves pay the topology pass once.
-    ``path_fn`` / ``subtree_fn`` substitute the round executors -- this is
-    how :mod:`repro.flat.native` runs the same decomposition with compiled
-    gather/scatter rounds while the weight-plane algebra stays shared.
     """
-    path_sum = path_sums if path_fn is None else path_fn
-    subtree_sum = subtree_sums if subtree_fn is None else subtree_fn
     parent = np.asarray(parent, dtype=np.int64)
     if schedule is None:
         schedule = jump_schedule(parent)
-    _LAST_ROUNDS[0] = len(schedule)
     roots = parent < 0
     non_root = np.flatnonzero(~roots)
     clamped = np.maximum(parent, 0)
@@ -168,11 +148,11 @@ def sweep_scenarios_contract(
     # so a node's own edge_c is excluded from its c_down).
     down_w = node_c.copy()
     np.add.at(down_w, parent[non_root], edge_c[non_root])
-    c_down = subtree_sum(down_w, schedule)
+    c_down = subtree_sums(down_w, schedule)
 
     # Path resistance, root rows seeded with their own edge_r exactly like
     # the level sweep's ``rkk = edge_r.copy()``.
-    rkk = path_sum(edge_r, schedule)
+    rkk = path_sums(edge_r, schedule)
     rkk_parent = rkk[clamped]
     rkk_parent[roots] = 0.0
 
@@ -190,20 +170,11 @@ def sweep_scenarios_contract(
     w_tr[roots] = 0.0
     if w_de.ndim == 2:
         width = w_de.shape[1]
-        fused = path_sum(np.concatenate([w_de, w_tr], axis=1), schedule)
+        fused = path_sums(np.concatenate([w_de, w_tr], axis=1), schedule)
         tde, tr_num = fused[:, :width], fused[:, width:]
     else:
-        fused = path_sum(np.stack([w_de, w_tr], axis=-1), schedule)
+        fused = path_sums(np.stack([w_de, w_tr], axis=-1), schedule)
         tde, tr_num = fused[..., 0], fused[..., 1]
     tre = np.divide(tr_num, rkk, out=np.zeros_like(rkk), where=rkk > 0.0)
     return rkk, c_down, tde, tre
 
-
-def last_round_count() -> int:
-    """Pointer-jumping rounds of the most recent contraction sweep.
-
-    The regression suite asserts this stays O(log N) -- e.g. 14 rounds for
-    a 10k-node chain -- so a future change that silently reintroduces a
-    depth-proportional loop fails loudly.
-    """
-    return _LAST_ROUNDS[0]

@@ -248,12 +248,10 @@ class FlatForest:
 
         ``engine`` selects a :mod:`repro.parallel` backend by name
         (``"numpy"`` serial, ``"process"`` sharded workers, ``"contract"``
-        pointer jumping, ``"native"`` Numba JIT-compiled kernels, degrading
-        to ``"numpy"`` without Numba; ``None``
-        auto-selects by sweep size and depth pathology), ``jobs`` caps the
-        worker count, and ``scenario_chunk`` overrides the bounded-memory
-        chunk width.  Every backend returns numerically identical results
-        (to 1e-12 for ``"contract"`` and ``"native"``).
+        pointer jumping; ``None`` auto-selects by sweep size and depth
+        pathology), ``jobs`` caps the worker count, and ``scenario_chunk``
+        overrides the bounded-memory chunk width.  Every backend returns numerically identical results
+        (to 1e-12 for ``"contract"``).
         """
         from repro.parallel import solve_forest_batch
 

@@ -284,8 +284,8 @@ def solve_range(
     No level sweep reads across a tree boundary, so a range's results are
     bitwise identical to the same trees' rows of a whole-forest solve.
     ``sweep`` substitutes an alternative two-pass kernel with the
-    :func:`sweep_scenarios` signature minus ``levels`` (the contraction or
-    compiled kernels), which keeps the documented 1e-12 parity instead.
+    :func:`sweep_scenarios` signature minus ``levels`` (the contraction
+    kernels), which keeps the documented 1e-12 parity instead.
     ``out`` optionally supplies the five result arrays (e.g. one shard's
     rows of a whole-forest result): the level sweeps and reductions then
     write into them directly, a substitute sweep's node arrays are copied

@@ -7,16 +7,14 @@ across trees and scenarios; this layer turns that into wall-clock speed:
   tree shards and bounded scenario chunks;
 * :mod:`repro.parallel.backends` -- the kernel-backend registry (``"numpy"``
   serial reference, ``"process"`` sharded workers, ``"contract"``
-  pointer-jumping contraction for depth-pathological forests, ``"native"``
-  Numba JIT-compiled kernels that degrade to numpy without Numba) and the
+  pointer-jumping contraction for depth-pathological forests) and the
   size/depth auto-selection every ``engine=`` parameter funnels through,
   observable via :func:`last_selection` and ``REPRO_ENGINE_LOG=1``;
 * :mod:`repro.parallel.engine` -- the execution engine itself: shards
   solved on worker threads over in-process planes, each writing its rows
   of the preallocated results, and numerically identical results
   regardless of backend (bitwise between ``"numpy"`` and ``"process"``,
-  1e-12 for ``"contract"`` and ``"native"``).  ``"native"`` never shards:
-  its compiled kernels are ``prange``-parallel in-process.
+  1e-12 for ``"contract"``).
 
 Callers never import this package directly for normal use -- they pass
 ``engine=`` / ``jobs=`` to :meth:`repro.flat.FlatForest.solve_batch`,
@@ -27,7 +25,6 @@ The layer map lives in ``docs/architecture.md``.
 """
 
 from repro.parallel.backends import (
-    AUTO_NATIVE_CELLS,
     AUTO_PROCESS_CELLS,
     CONTRACT_DEPTH_RATIO,
     KernelBackend,
@@ -56,7 +53,6 @@ from repro.parallel.sharding import (
 )
 
 __all__ = [
-    "AUTO_NATIVE_CELLS",
     "AUTO_PROCESS_CELLS",
     "CHUNK_BYTES_ENV",
     "CONTRACT_DEPTH_RATIO",

@@ -14,23 +14,16 @@ over the ``(N, S)`` element planes of a forest:
   (:mod:`repro.flat.contraction`): O(log N) rounds regardless of depth, the
   cure for chain-heavy forests where the level sweeps degenerate into one
   numpy call per level.
-* ``"native"`` -- the Numba JIT-compiled kernels
-  (:mod:`repro.flat.native`): the same sweeps fused into compiled machine
-  code, run in-process and ``prange``-parallel across scenario blocks
-  (never sharded).  Numba is optional: when it is missing, disabled
-  (``REPRO_DISABLE_NATIVE=1``) or fails to compile, every ``"native"``
-  request degrades to ``"numpy"`` and the recorded selection says why.
 
 Callers normally pass ``engine=None`` (or ``"auto"``) and let
 :func:`resolve_engine` pick: depth-pathological forests
 (``depth / log2(nodes) >= CONTRACT_DEPTH_RATIO``) go to the contraction
-kernels (compiled rounds when the native kernels are warm), sweeps of at
-least ``AUTO_NATIVE_CELLS`` cells go to the compiled kernels when those
-are usable, and otherwise the sharded escalation (``nodes x scenarios >=
+kernels, otherwise the sharded escalation (``nodes x scenarios >=
 AUTO_PROCESS_CELLS`` with more than one usable worker) picks
-``"process"``.  An *explicit* ``engine="process"`` / ``"contract"`` /
-``"native"`` is always honoured (``"process"`` with however many workers
-are asked for) so parity tests exercise every path even on one core.
+``"process"``, and everything else runs ``"numpy"``.  An *explicit*
+``engine="process"`` / ``"contract"`` is always honoured (``"process"``
+with however many workers are asked for) so parity tests exercise every
+path even on one core.
 Worker counts are affinity-aware: :func:`default_job_count` reads the
 scheduling mask (``os.sched_getaffinity``), not the raw CPU count, so
 cgroup-capped containers never auto-pay shard fan-out they cannot use.
@@ -55,7 +48,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.exceptions import AnalysisError
 
 __all__ = [
-    "AUTO_NATIVE_CELLS",
     "AUTO_PROCESS_CELLS",
     "CONTRACT_DEPTH_RATIO",
     "KernelBackend",
@@ -73,14 +65,6 @@ __all__ = [
 #: to the sharded backend: below this the serial kernels finish in a few
 #: milliseconds and worker dispatch would only add latency.
 AUTO_PROCESS_CELLS = 1 << 19
-
-#: Smallest ``nodes x scenarios`` plane for which ``engine=None`` prefers
-#: the JIT-compiled kernels when they are usable.  Lower than
-#: :data:`AUTO_PROCESS_CELLS` because a compiled in-process sweep has no
-#: fan-out cost to amortize -- only the (cached, one-time) warm-up -- but
-#: still high enough that sub-millisecond sweeps skip the readiness probe
-#: entirely.
-AUTO_NATIVE_CELLS = 1 << 16
 
 #: Depth-pathology threshold: ``engine=None`` picks the contraction kernels
 #: when ``depth / log2(nodes) >= CONTRACT_DEPTH_RATIO``.  Bushy forests sit
@@ -156,22 +140,6 @@ def default_job_count() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def _native_ready() -> bool:
-    """Whether the JIT-compiled kernels are usable (lazy, import-safe probe).
-
-    Importing :mod:`repro.flat.native` is what pays the (one-time) Numba
-    import, so this is only called once a sweep is big enough to care; a
-    broken or absent installation simply reads as "not ready".  Module-level
-    indirection so the auto-selection tests can monkeypatch readiness
-    without a Numba installation.
-    """
-    try:
-        from repro.flat.native import native_ready
-    except Exception:  # pragma: no cover - native module always importable
-        return False
-    return native_ready()
-
-
 def should_contract(depth: int, nodes: int) -> bool:
     """True when a forest is depth-pathological for the level sweeps.
 
@@ -199,16 +167,11 @@ def record_selection(
     scenarios: int = 0,
     depth: int = 0,
     jobs: int = 1,
-    reason: str = "",
 ) -> None:
     """Note which backend a solve chose; print it when the log knob is on.
 
     Called by :func:`repro.parallel.engine.solve_forest_batch` after every
-    resolution.  ``reason`` is non-empty only when the resolved backend is
-    not the requested one for a *capability* reason -- today, an explicit
-    ``engine="native"`` degrading to ``"numpy"`` because Numba is missing,
-    disabled or failed to compile.  The record is readable back via
-    :func:`last_selection`; with ``REPRO_ENGINE_LOG=1`` in the environment
+    resolution.  The record is readable back via :func:`last_selection`; with ``REPRO_ENGINE_LOG=1`` in the environment
     a one-line report also goes to stderr, so long pipelines can show
     which engine every solve picked without any code change.
     """
@@ -219,28 +182,15 @@ def record_selection(
         "scenarios": int(scenarios),
         "depth": int(depth),
         "jobs": int(jobs),
-        "reason": reason,
     }
     _LAST_SELECTION[:] = [record]
     flag = os.environ.get(ENGINE_LOG_ENV, "")
     if flag and flag != "0":
-        line = (
+        print(
             "repro.engine: engine={engine} (requested={requested}) "
             "nodes={nodes} scenarios={scenarios} depth={depth} jobs={jobs}".format(
                 **record
-            )
-        )
-        if reason:
-            line += f" reason={reason!r}"
-        print(line, file=sys.stderr)
-    elif reason and requested not in (None, "auto") and requested != resolved:
-        # An *explicit* engine request silently running on a different
-        # backend is the one selection users must hear about even with the
-        # log knob off: a parity run believed to exercise "native" may in
-        # fact be re-measuring numpy.
-        print(
-            f"repro.engine: warning: requested engine {requested!r} "
-            f"fell back to {resolved!r}: {reason}",
+            ),
             file=sys.stderr,
         )
 
@@ -250,11 +200,9 @@ def last_selection() -> Optional[Dict[str, object]]:
 
     Keys: ``requested`` (the caller's ``engine=`` value, ``"auto"`` when it
     was left to the resolver), ``engine`` (the backend that actually ran),
-    ``nodes``, ``scenarios``, ``depth``, ``jobs`` and ``reason`` (empty
-    unless the request was degraded for a capability reason -- e.g. why a
-    ``"native"`` request ran on ``"numpy"``).  This is the programmatic
-    face of the ``REPRO_ENGINE_LOG`` knob, used by the auto-selection and
-    fallback tests.
+    ``nodes``, ``scenarios``, ``depth`` and ``jobs``.  This is the
+    programmatic face of the ``REPRO_ENGINE_LOG`` knob, used by the
+    auto-selection tests.
     """
     return dict(_LAST_SELECTION[0]) if _LAST_SELECTION else None
 
@@ -271,16 +219,12 @@ def resolve_engine(
 
     ``engine=None`` / ``"auto"`` first checks the depth pathology: a forest
     with ``depth / log2(nodes) >= CONTRACT_DEPTH_RATIO`` (see
-    :func:`should_contract`) leaves the level sweeps -- for the compiled
-    contraction rounds of ``"native"`` when those are warm and the sweep
-    clears :data:`AUTO_NATIVE_CELLS`, else for the ``"contract"`` kernels,
-    whose round count is O(log N) instead of O(depth).  Otherwise a sweep
-    of at least :data:`AUTO_NATIVE_CELLS` cells runs the compiled kernels
-    when they are ready, a sweep of at least :data:`AUTO_PROCESS_CELLS`
-    cells with more than one usable worker (``jobs`` when given, else the
-    affinity-aware :func:`default_job_count`) escalates to ``"process"``,
-    and the default remains ``"numpy"``.  Explicit names are honoured
-    as-is.  Returns ``(backend, jobs)`` with ``jobs`` meaningful only for
+    :func:`should_contract`) leaves the level sweeps for the ``"contract"``
+    kernels, whose round count is O(log N) instead of O(depth).  Otherwise
+    a sweep of at least :data:`AUTO_PROCESS_CELLS` cells with more than
+    one usable worker (``jobs`` when given, else the affinity-aware
+    :func:`default_job_count`) escalates to ``"process"``, and the default
+    remains ``"numpy"``.  Explicit names are honoured as-is.  Returns ``(backend, jobs)`` with ``jobs`` meaningful only for
     parallel backends (every other backend reports one job).
     """
     if jobs is not None:
@@ -291,13 +235,8 @@ def resolve_engine(
     if name == "auto":
         workers = jobs if jobs is not None else default_job_count()
         escalate = workers >= 2 and cells >= AUTO_PROCESS_CELLS
-        native_ok = (
-            "native" in _REGISTRY and cells >= AUTO_NATIVE_CELLS and _native_ready()
-        )
         if "contract" in _REGISTRY and should_contract(depth, nodes):
-            name = "native" if native_ok else "contract"
-        elif native_ok:
-            name = "native"
+            name = "contract"
         elif escalate and "process" in _REGISTRY:
             name = "process"
         else:

@@ -15,11 +15,11 @@ Execution model
 
 * A backend is a shard plan.  The serial backends run the whole forest as
   one shard carrying their two-pass sweep: ``"numpy"`` the level sweeps,
-  ``"contract"`` the pointer-jumping rounds, ``"native"`` the compiled
-  kernels.  ``"process"`` partitions the forest into contiguous,
-  node-balanced shards (:func:`repro.parallel.sharding.plan_shards`).
-  Because every tree's nodes are contiguous and no level sweep ever reads
-  across tree boundaries, a shard solve is **bitwise identical** to the
+  ``"contract"`` the pointer-jumping rounds.  ``"process"`` partitions
+  the forest into contiguous, node-balanced shards
+  (:func:`repro.parallel.sharding.plan_shards`).  Because every tree's
+  nodes are contiguous and no level sweep ever reads across tree
+  boundaries, a shard solve is **bitwise identical** to the
   same trees' rows of a whole-forest solve -- the 1e-12 parity the tests
   pin is really exact equality.  Only a depth-pathological shard of a
   sharded solve contracts; a forest that plans to one shard runs the
@@ -121,8 +121,7 @@ class _Shard:
     """One node range's local topology and kernel, prepared once per solve.
 
     ``sweep=None`` runs the level sweeps over ``levels``; otherwise
-    ``sweep`` is the substitute two-pass kernel (contraction or compiled)
-    and ``levels`` is not read.
+    ``sweep`` is the contraction kernel and ``levels`` is not read.
     """
 
     nodes: slice
@@ -182,40 +181,6 @@ def _numpy_shards(structure: ForestStructure, jobs: int) -> List[_Shard]:
 def _contract_shards(structure: ForestStructure, jobs: int) -> List[_Shard]:
     """``"contract"``: the pointer-jumping sweeps over the whole forest."""
     return _whole_forest(structure, (), _contract_sweep(structure.parent))
-
-
-def _native_sweep_for(
-    parent: np.ndarray, levels: Sequence[np.ndarray]
-) -> Optional[SweepFn]:
-    """A compiled two-pass kernel for one node range, or ``None``.
-
-    ``None`` means the compiled kernels are unusable here (Numba missing,
-    disabled via ``REPRO_DISABLE_NATIVE``, or a JIT failure) and the caller
-    should fall through to the numpy kernels.  Deep ranges (per
-    :func:`repro.parallel.backends.should_contract`) get the compiled
-    contraction rounds, everything else the fused compiled level sweep --
-    the same per-range decision the process shards make for the numpy
-    kernels.
-    """
-    from repro.flat import native
-
-    if not native.native_ready():
-        return None
-    deep = should_contract(len(levels) - 1, int(parent.shape[0]))
-    return native.native_sweeps_for(parent, levels, deep)
-
-
-def _native_shards(structure: ForestStructure, jobs: int) -> List[_Shard]:
-    """``"native"``: the compiled kernels over the whole forest.
-
-    The compiled kernels are ``prange``-parallel across scenario blocks
-    already, so this backend never shards (``jobs`` is unused).  If the
-    kernels turn out unusable the level sweeps run --
-    :func:`solve_forest_batch` normally swaps the backend (and records the
-    reason) before ever dispatching here, so this is a second belt.
-    """
-    levels = _levels_of(structure)
-    return _whole_forest(structure, levels, _native_sweep_for(structure.parent, levels))
 
 
 def _plan_shard(
@@ -400,13 +365,6 @@ register_backend(
     description="pointer-jumping tree contraction: O(log N) rounds "
     "regardless of depth, for chain-heavy forests",
 )
-register_backend(
-    "native",
-    _native_shards,
-    parallel=False,
-    description="Numba JIT-compiled fused sweeps, prange-parallel "
-    "in-process; degrades to numpy without Numba",
-)
 
 
 # ----------------------------------------------------------------------
@@ -453,25 +411,8 @@ def solve_forest_batch(
     backend, jobs = resolve_engine(
         engine, cells=n * count, jobs=jobs, nodes=n, depth=depth
     )
-    reason = ""
-    if backend.name == "native":
-        from repro.flat import native
-
-        if not native.native_ready():
-            # Auto-selection never picks an unready "native", so this is an
-            # *explicit* request on a machine without usable Numba: honour
-            # the solve with the reference kernels and record why, instead
-            # of failing a pipeline over an optional accelerator.
-            reason = f"native kernels unavailable ({native.native_status()})"
-            backend, jobs = resolve_engine("numpy")
     record_selection(
-        engine,
-        backend.name,
-        nodes=n,
-        scenarios=count,
-        depth=depth,
-        jobs=jobs,
-        reason=reason,
+        engine, backend.name, nodes=n, scenarios=count, depth=depth, jobs=jobs
     )
     shards = backend.solver(structure, jobs)
     return _solve_chunks(structure, base, planes, count, scenario_chunk, shards)

@@ -36,7 +36,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.exceptions import AnalysisError
 from repro.core.tree import RCTree
+from repro.parallel import get_backend
 from repro.sta.cells import Cell, standard_cell_library
 from repro.sta.delaycalc import DelayModel
 from repro.sta.netlist import Design, design_from_dict
@@ -46,6 +48,7 @@ __all__ = [
     "ServeError",
     "cell_from_payload",
     "design_from_payload",
+    "execution_from_payload",
     "model_from_payload",
     "parasitics_from_payload",
     "parasitics_to_payload",
@@ -114,6 +117,31 @@ def design_from_payload(payload: Mapping) -> Design:
         return design_from_dict(netlist)
     except Exception as error:
         raise ServeError(f"malformed netlist: {error}") from None
+
+
+def execution_from_payload(
+    payload: Mapping, engine: Optional[str], jobs: Optional[int]
+) -> Tuple[Optional[str], Optional[int]]:
+    """A session's ``engine`` and ``jobs`` fields, defaulting to the server's.
+
+    ``engine`` must be ``"auto"`` or a registered backend name and ``jobs``
+    an integer >= 1 (both may be absent or ``null``), so a bad value is
+    refused when the session loads rather than by its first solve.
+    """
+    engine = payload.get("engine", engine)
+    jobs = payload.get("jobs", jobs)
+    if engine is not None and engine != "auto":
+        if not isinstance(engine, str):
+            raise ServeError("'engine' must be a backend name string")
+        try:
+            get_backend(engine)
+        except AnalysisError as error:
+            raise ServeError(str(error), code="unknown_engine") from None
+    if jobs is not None and (
+        not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1
+    ):
+        raise ServeError(f"'jobs' must be an integer >= 1, got {jobs!r}")
+    return engine, jobs
 
 
 def parasitics_from_payload(payload: Mapping) -> NetParasitics:

@@ -45,6 +45,7 @@ from repro.serve.schema import (
     ServeError,
     cell_from_payload,
     design_from_payload,
+    execution_from_payload,
     model_from_payload,
     parasitics_from_payload,
     parse_json_body,
@@ -289,8 +290,7 @@ class TimingServer:
         store_dir = payload.get("store_dir")
         if store_dir is not None and not isinstance(store_dir, str):
             raise ServeError("'store_dir' must be a directory path string")
-        engine = payload.get("engine", self._engine)
-        jobs = payload.get("jobs", self._jobs)
+        engine, jobs = execution_from_payload(payload, self._engine, self._jobs)
 
         def build() -> Session:
             return Session(

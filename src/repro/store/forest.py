@@ -5,8 +5,8 @@
 shard file holds the node-major planes of a contiguous run of whole
 trees; a solve walks the shards, materializes one at a time (through a
 bounded hot-shard LRU), hands its arrays to the ordinary
-:func:`repro.parallel.solve_forest_batch` engine registry -- numpy,
-contract or native per shard, worker threads mapping the same files
+:func:`repro.parallel.solve_forest_batch` engine registry -- numpy
+or contract per shard, worker threads mapping the same files
 for ``jobs=N`` -- and streams the results into a memory-mapped result
 file.  The resident set is O(shard + scenario_chunk) no matter how large
 the design is, because every mapping is released as soon as its window
@@ -44,7 +44,6 @@ from repro.flat.scenarios import (
 from repro.parallel.engine import ForestStructure, _pool, solve_forest_batch
 from repro.store.format import (
     INDEX_DTYPE,
-    depths_from_parent,
     RESULT_NODE_FIELDS,
     RESULTS_NAME,
     UNSOLVED,
@@ -59,7 +58,7 @@ from repro.store.format import (
     shard_layout,
     write_shard_file,
 )
-from repro.store.writer import _validate_block
+from repro.store.writer import _validate_block, _validate_values
 
 #: Environment override for the hot-shard LRU capacity.
 HOT_SHARDS_ENV = "REPRO_STORE_HOT_SHARDS"
@@ -627,8 +626,10 @@ class StoredForest:
             parent, edge_r, edge_c, node_c = (np.asarray(a) for a in tree)
             parent = parent.astype(INDEX_DTYPE)
             size_arr = np.asarray([0, parent.shape[0]], dtype=INDEX_DTYPE)
-            _validate_block(size_arr, parent, None)
-            depth = depths_from_parent(parent)
+            depth = _validate_block(size_arr, parent, None)
+            edge_r, edge_c, node_c = _validate_values(
+                size_arr, edge_r, edge_c, node_c
+            )
         shard = self.shard_of_tree(tree_index)
         record = self._shards[shard]
         _, _, tree_lo, _ = self.shard_bounds(shard)

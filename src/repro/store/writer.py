@@ -62,6 +62,30 @@ def _as_value(values: Sequence[float], name: str, nodes: int) -> np.ndarray:
     return check_elements(array, name)
 
 
+def _validate_values(
+    starts: np.ndarray,
+    edge_r: Sequence[float],
+    edge_c: Sequence[float],
+    node_c: Sequence[float],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a block's element planes and return them as float64 arrays.
+
+    Each plane must hold one finite, non-negative value per node, and each
+    tree's input node (at ``starts[:-1]``) has no incoming edge, so its
+    ``edge_r`` and ``edge_c`` must be zero.
+    """
+    nodes = int(starts[-1])
+    edge_r_arr = _as_value(edge_r, "edge_r", nodes)
+    edge_c_arr = _as_value(edge_c, "edge_c", nodes)
+    roots = starts[:-1]
+    if edge_r_arr[roots].any() or edge_c_arr[roots].any():
+        raise AnalysisError(
+            "a tree's input node has no incoming edge:"
+            " edge_r and edge_c must be zero at each tree start"
+        )
+    return edge_r_arr, edge_c_arr, _as_value(node_c, "node_c", nodes)
+
+
 def _validate_block(
     starts: np.ndarray, parent: np.ndarray, depth: Optional[np.ndarray]
 ) -> np.ndarray:
@@ -252,24 +276,8 @@ class ShardStoreWriter:
         depth_arr = _validate_block(
             starts, parent, None if depth is None else _as_index(depth, "depth")
         )
-        edge_r_arr = _as_value(edge_r, "edge_r", nodes)
-        edge_c_arr = _as_value(edge_c, "edge_c", nodes)
-        roots = starts[:-1]
-        if edge_r_arr[roots].any() or edge_c_arr[roots].any():
-            raise AnalysisError(
-                "a tree's input node has no incoming edge:"
-                " edge_r and edge_c must be zero at each tree start"
-            )
-        self._blocks.append(
-            (
-                starts,
-                parent,
-                depth_arr,
-                edge_r_arr,
-                edge_c_arr,
-                _as_value(node_c, "node_c", nodes),
-            )
-        )
+        values = _validate_values(starts, edge_r, edge_c, node_c)
+        self._blocks.append((starts, parent, depth_arr) + values)
         self._pending_nodes += nodes
         self._pending_trees += int(starts.shape[0]) - 1
         if self._pending_nodes >= self._shard_nodes:

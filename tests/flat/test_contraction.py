@@ -16,7 +16,6 @@ import pytest
 from repro.flat import FlatForest
 from repro.flat.contraction import (
     jump_schedule,
-    last_round_count,
     path_sums,
     subtree_sums,
     sweep_scenarios_contract,
@@ -124,8 +123,8 @@ class TestChainRegression:
         assert np.all(np.isfinite(times.tde))
 
     def test_contract_rounds_are_logarithmic(self, chain):
-        chain.solve_batch(count=1, engine="contract")
-        assert last_round_count() == math.ceil(math.log2(CHAIN_NODES))
+        schedule = jump_schedule(chain.structure.parent)
+        assert len(schedule) == math.ceil(math.log2(CHAIN_NODES))
 
     def test_chain_parity_with_level_sweeps(self, chain):
         rng = np.random.default_rng(5)

@@ -15,19 +15,19 @@ from repro.parallel import backends as backends_module
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert "numpy" in names
-        assert "process" in names
-        assert "contract" in names
-        assert "native" in names
+        assert available_backends() == ("numpy", "process", "contract")
 
     def test_get_backend_flags(self):
         assert get_backend("numpy").parallel is False
         assert get_backend("process").parallel is True
 
     def test_unknown_backend_lists_alternatives(self):
-        with pytest.raises(AnalysisError, match="numpy"):
-            get_backend("cuda")
+        # "native" (the deleted Numba backend) is unknown like any other name.
+        for name in ("cuda", "native"):
+            with pytest.raises(
+                AnalysisError, match="available: numpy, process, contract$"
+            ):
+                get_backend(name)
 
     def test_register_and_resolve_custom_backend(self):
         def never_called(*args):  # pragma: no cover - registry plumbing only
@@ -51,13 +51,6 @@ class TestRegistry:
 
 
 class TestResolveEngine:
-    @pytest.fixture(autouse=True)
-    def _without_native(self, monkeypatch):
-        """Pin the compiled kernels 'not ready' so the legacy
-        numpy/process/contract selection lattice is what's under test --
-        deterministic whether or not Numba is installed."""
-        monkeypatch.setattr(backends_module, "_native_ready", lambda: False)
-
     def test_small_sweep_stays_serial(self):
         backend, jobs = resolve_engine(None, cells=100, jobs=8)
         assert backend.name == "numpy" and jobs == 1
@@ -119,55 +112,6 @@ class TestResolveEngine:
         assert backend.name == "contract" and jobs == 1
 
 
-class TestNativeSelection:
-    """Auto-selection with the compiled kernels reported ready.
-
-    Readiness is monkeypatched, so these run (and mean the same thing)
-    with or without a Numba installation.
-    """
-
-    @pytest.fixture(autouse=True)
-    def _with_native(self, monkeypatch):
-        monkeypatch.setattr(backends_module, "_native_ready", lambda: True)
-
-    def test_big_sweep_escalation_prefers_native_shards(self):
-        # The compiled kernels are prange-parallel in-process, so a sweep
-        # past the sharding threshold runs them unsharded with one job.
-        backend, jobs = resolve_engine(None, cells=AUTO_PROCESS_CELLS, jobs=4)
-        assert backend.name == "native" and jobs == 1
-
-    def test_medium_sweep_runs_native_in_process(self):
-        # Above AUTO_NATIVE_CELLS but below the process threshold: compiled
-        # serial sweep, no fan-out even though workers were offered.
-        backend, jobs = resolve_engine(
-            None, cells=backends_module.AUTO_NATIVE_CELLS, jobs=4
-        )
-        assert backend.name == "native" and jobs == 1
-
-    def test_small_sweep_skips_native(self):
-        backend, jobs = resolve_engine(
-            None, cells=backends_module.AUTO_NATIVE_CELLS - 1, jobs=4
-        )
-        assert backend.name == "numpy" and jobs == 1
-
-    def test_depth_pathology_runs_compiled_contraction(self):
-        cells = backends_module.AUTO_NATIVE_CELLS * 2
-        backend, jobs = resolve_engine(None, cells=cells, nodes=cells, depth=cells - 1)
-        assert backend.name == "native"
-
-    def test_depth_pathology_below_native_floor_stays_contract(self):
-        backend, jobs = resolve_engine(None, cells=4000, nodes=4000, depth=3999)
-        assert backend.name == "contract" and jobs == 1
-
-    def test_small_sweep_never_probes_readiness(self, monkeypatch):
-        def boom():  # pragma: no cover - failing is the assertion
-            raise AssertionError("readiness probed for a tiny sweep")
-
-        monkeypatch.setattr(backends_module, "_native_ready", boom)
-        backend, _ = resolve_engine(None, cells=100, jobs=8)
-        assert backend.name == "numpy"
-
-
 class TestAffinityAwareJobs:
     """default_job_count() must follow the scheduling mask, not cpu_count.
 
@@ -189,7 +133,6 @@ class TestAffinityAwareJobs:
             backends_module.os, "sched_getaffinity", lambda pid: {0}, raising=False
         )
         monkeypatch.setattr(backends_module.os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(backends_module, "_native_ready", lambda: False)
         backend, jobs = resolve_engine(None, cells=AUTO_PROCESS_CELLS * 8)
         assert backend.name == "numpy" and jobs == 1
 
@@ -200,6 +143,5 @@ class TestAffinityAwareJobs:
             lambda pid: {0, 1, 2, 3},
             raising=False,
         )
-        monkeypatch.setattr(backends_module, "_native_ready", lambda: False)
         backend, jobs = resolve_engine(None, cells=AUTO_PROCESS_CELLS * 8)
         assert backend.name == "process" and jobs == 4

@@ -100,7 +100,6 @@ def test_auto_selected_process_threads_get_their_own_results(
 ):
     hang_guard(int(DEADLINE) + 30)
     monkeypatch.setattr(backends_module, "AUTO_PROCESS_CELLS", 1024)
-    monkeypatch.setattr(backends_module, "_native_ready", lambda: False)
     for forest, _, _ in workloads:
         backend, jobs = resolve_engine(
             None,

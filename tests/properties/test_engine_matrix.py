@@ -1,15 +1,10 @@
 """The cross-engine parity matrix: every backend, every shape, every chunking.
 
 One parametrized sweep asserting that ``numpy`` x ``process`` x ``contract``
-x ``native`` (x worker counts x the scenario-chunk edge cases S=1, chunk=1,
-chunk>S) agree at 1e-12 relative tolerance on every topology class of
+(x worker counts x the scenario-chunk edge cases S=1, chunk=1, chunk>S)
+agree at 1e-12 relative tolerance on every topology class of
 ``tests.properties.topologies`` -- and keep agreeing after forest-level
-``replace_tree`` splices.  The ``native`` arms are graceful by design:
-where Numba is not installed (or ``REPRO_DISABLE_NATIVE=1``) they degrade
-to the numpy kernels -- still a matrix cell worth pinning, since the
-degradation itself is part of the engine contract -- and with Numba they
-run the JIT-compiled kernels in-process whatever ``jobs`` asks for.  (The
-design-level ECO axis -- ``update_net`` /
+``replace_tree`` splices.  (The design-level ECO axis -- ``update_net`` /
 ``resize_instance`` between parity checks -- is covered by
 ``test_parallel_parity.test_every_engine_agrees_on_pathological_topologies``.)
 
@@ -34,16 +29,11 @@ from tests.properties.topologies import (
 
 FIELDS = ("tp", "tde", "tre", "ree", "total_capacitance")
 
-#: The engine x jobs arms compared against the ``numpy`` reference.  The
-#: ``native`` arms compile where Numba exists and degrade to numpy where it
-#: does not; ``("native", 2)`` pins that a worker count leaves the compiled
-#: kernels unsharded.
+#: The engine x jobs arms compared against the ``numpy`` reference.
 ENGINE_ARMS = (
     ("contract", None),
     ("process", 2),
     ("process", 3),
-    ("native", 1),
-    ("native", 2),
 )
 
 
@@ -134,7 +124,7 @@ def test_engine_matrix_survives_replace_tree(forest, seed):
 # the engine x storage product, not the topology distribution, and each
 # arm spins up a real server.
 
-SERVER_ENGINE_ARMS = ("numpy", "contract", "native")
+SERVER_ENGINE_ARMS = ("numpy", "contract")
 
 
 def _serve_workload():

@@ -204,10 +204,9 @@ def test_two_sessions_on_the_sharded_engine_match_serial_replay(
     monkeypatch, hang_guard
 ):
     # Every what-if solve escalates to "process" with two workers, even on
-    # a one-core runner and with Numba installed.
+    # a one-core runner.
     monkeypatch.setattr(backends_module, "AUTO_PROCESS_CELLS", 1)
     monkeypatch.setattr(backends_module, "default_job_count", lambda: 2)
-    monkeypatch.setattr(backends_module, "_native_ready", lambda: False)
     process = backends_module.get_backend("process")
     sharded_solves = []
 

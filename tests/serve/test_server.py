@@ -194,6 +194,20 @@ def test_error_mapping(workload, serve_harness):
             ("POST", "/sessions/d/eco/update_net", {"net": "ghost",
                                                     "lumped_capacitance": 1e-15}, 400),
             ("POST", "/sessions", {"name": "x", "netlist": 17}, 400),
+            # engine and jobs are checked when the session loads, not by
+            # its first solve.
+            *[
+                ("POST", "/sessions", dict(workload.session_payload("x"), **bad), 400)
+                for bad in (
+                    {"engine": "bogus"},
+                    {"engine": "native"},
+                    {"engine": 3},
+                    {"jobs": "two"},
+                    {"jobs": 0},
+                    {"jobs": 1.5},
+                    {"jobs": True},
+                )
+            ],
         ]:
             try:
                 await client.request(method, path, payload)

@@ -54,6 +54,23 @@ class TestAgainstAnalyticalEngine:
         for node in tree.nodes[1:]:
             assert response.elmore_delay(node) == pytest.approx(table[node].tde, rel=1e-9)
 
+    def test_elmore_delays_agree_on_stiff_tree(self):
+        # Modal rates spanning twelve decades: the first moments must not
+        # inherit the eigensolver's error on the slow modes.
+        tree = RCTree()
+        tree.add_resistor("in", "a", 500.0)
+        tree.add_capacitor("a", 2e-10)
+        tree.add_resistor("a", "b", 1.0)
+        tree.add_capacitor("b", 1e-16)
+        tree.add_resistor("in", "c", 0.015625)
+        tree.add_capacitor("c", 1e-16)
+        tree.add_resistor("c", "d", 51446.0)
+        tree.add_capacitor("d", 2e-10)
+        response = exact_step_response(tree)
+        table = characteristic_times_all(tree, ["a", "b", "c", "d"])
+        for node, times in table.items():
+            assert response.elmore_delay(node) == pytest.approx(times.tde, rel=1e-9)
+
     def test_final_values_are_one(self, fig7):
         response = exact_step_response(fig7, segments_per_line=10)
         assert np.allclose(response.final_values, 1.0)

@@ -246,6 +246,32 @@ class TestEco:
             np.asarray(stored.solve().tde), np.asarray(ram.solve().tde), rtol=RTOL
         )
 
+    @pytest.mark.parametrize(
+        "tree, error",
+        [
+            # NaN and negative elements: the writer's element check.
+            (([-1, 0], [0.0, -1.0], [0.0, np.nan], [0.0, 1e-12]), ElementValueError),
+            # A root carrying an edge: the writer's root-edge check.
+            (([-1, 0], [5.0, 1.0], [0.0, 1.0], [0.0, 1e-12]), AnalysisError),
+        ],
+    )
+    def test_replace_rejects_bad_raw_elements(self, tmp_path, tree, error):
+        stored = StoredForest(_build_store(tmp_path, _trees(4, seed=3)))
+        stored.solve()
+        shard = stored.shard_of_tree(1)
+        path = stored._shard_path(shard)
+        with open(path, "rb") as handle:
+            before = handle.read()
+        generation = stored._shards[shard].generation
+        with pytest.raises(error):
+            stored.replace_tree(1, tree)
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        assert stored._shards[shard].generation == generation
+        reopened = StoredForest(stored.directory)
+        assert reopened._shards[shard].generation == generation
+        assert np.isfinite(np.asarray(stored.solve().tp)).all()
+
     def test_replace_rejects_bad_index(self, workload):
         _, stored = workload
         tree = random_flat_tree(1)

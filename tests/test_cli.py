@@ -310,6 +310,20 @@ class TestTimingCorners:
             )
         assert "--engine requires --corners" in capsys.readouterr().err
 
+    def test_engine_native_is_not_a_choice(self, capsys, design_files, tmp_path):
+        netlist, _ = design_files
+        corners = tmp_path / "corners.json"
+        corners.write_text('[{"name": "typ"}]')
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "timing", "--netlist", netlist, "--period", "5e-9",
+                    "--corners", str(corners), "--engine", "native",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'native'" in capsys.readouterr().err
+
 
 class TestTimingStore:
     @pytest.fixture

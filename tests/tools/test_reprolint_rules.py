@@ -423,139 +423,6 @@ class TestBenchOracle:
 
 
 # ----------------------------------------------------------------------
-# RL007 compiled-kernel contract (+ JIT exemptions in RL001/RL002)
-# ----------------------------------------------------------------------
-class TestNativeKernels:
-    def test_fires_on_njit_without_cache(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "repro/flat/native.py",
-            """
-            try:
-                from numba import njit
-            except Exception:
-                njit = None
-
-            @njit(parallel=True)
-            def _sweep_levels_kernel(order, out):
-                for i in range(order.shape[0]):
-                    out[i] = order[i]
-            """,
-        )
-        assert "RL007" in rules_fired(result)
-
-    def test_fires_on_bare_njit_decorator(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "repro/flat/native.py",
-            """
-            try:
-                from numba import njit
-            except Exception:
-                njit = None
-
-            @njit
-            def _path_round_kernel(idx, tgt):
-                return idx + tgt
-            """,
-        )
-        assert "RL007" in rules_fired(result)
-
-    def test_fires_on_unguarded_numba_import(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "repro/flat/native.py",
-            """
-            import numba
-            from numba import njit
-            """,
-        )
-        fired = [f for f in result.findings if f.rule == "RL007"]
-        assert len(fired) == 2
-
-    def test_silent_on_compliant_kernel_module(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "repro/flat/native.py",
-            """
-            try:
-                import numba
-                from numba import njit
-            except Exception:
-                numba = None
-                njit = None
-
-            @njit(parallel=True, cache=True)
-            def _sweep_levels_kernel(order, out):
-                for i in range(order.shape[0]):
-                    out[i] = order[i]
-
-            @numba.njit(cache=True)
-            def _path_round_kernel(idx, tgt):
-                return idx + tgt
-            """,
-        )
-        assert "RL007" not in rules_fired(result)
-
-    def test_silent_on_importorskip_in_bench(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "benchmarks/bench_native.py",
-            """
-            import pytest
-
-            numba = pytest.importorskip("numba")
-            """,
-        )
-        assert "RL007" not in rules_fired(result)
-
-    def test_applies_outside_kernel_modules(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "repro/graph/designdb.py",
-            """
-            import numba
-            """,
-        )
-        assert "RL007" in rules_fired(result)
-
-    def test_rl001_exempts_jit_kernel_loops(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "repro/flat/native.py",
-            """
-            try:
-                from numba import njit, prange
-            except Exception:
-                njit = None
-
-            @njit(parallel=True, cache=True)
-            def _sweep_levels_kernel(order, nc, c_down):
-                for j in prange(order.shape[0]):
-                    i = order[j]
-                    c_down[i] = float(nc[i])
-            """,
-        )
-        fired = rules_fired(result)
-        assert "RL001" not in fired
-        assert "RL002" not in fired
-
-    def test_rl001_still_fires_on_uncompiled_kernel_twin(self, tmp_path):
-        result = lint(
-            tmp_path,
-            "repro/flat/native.py",
-            """
-            def _sweep_levels_kernel(order, nc, c_down):
-                for j in range(order.shape[0]):
-                    c_down[j] = float(nc[j])
-            """,
-        )
-        fired = rules_fired(result)
-        assert "RL001" in fired
-        assert "RL002" in fired
-
-
-# ----------------------------------------------------------------------
 # RL008 memmap lifetime
 # ----------------------------------------------------------------------
 class TestMemmapLifetime:

@@ -74,7 +74,6 @@ class LintConfig:
         "repro/flat/forest.py",
         "repro/flat/scenarios.py",
         "repro/flat/contraction.py",
-        "repro/flat/native.py",
         "repro/parallel/engine.py",
     )
     #: Functions inside kernel modules that ARE the hot solve/sweep paths.
@@ -94,15 +93,6 @@ class LintConfig:
         "_solve_chunks",
         "_solve_shard",
         "solve_forest_batch",
-        "sweep_scenarios_native",
-        "sweep_scenarios_contract_native",
-        "path_sums_native",
-        "subtree_sums_native",
-        "_sweep_impl",
-        "_contract_impl",
-        "_sweep_levels_kernel",
-        "_path_round_kernel",
-        "_subtree_round_kernel",
     )
     #: Identifier names that mark a loop as iterating one of the *allowed*
     #: axes (depth levels, bounded scenario chunks, shard plans, jump
@@ -118,15 +108,6 @@ class LintConfig:
     )
     #: numpy allocators that must carry an explicit ``dtype=`` (RL002).
     alloc_functions: Tuple[str, ...] = ("empty", "zeros", "ones", "full")
-    #: Decorator names that mark a function as JIT-compiled (``@njit(...)``
-    #: / ``@numba.jit(...)``).  Inside such functions explicit loops and
-    #: scalar arithmetic ARE the idiom -- the compiler fuses them -- so
-    #: RL001/RL002 exempt them, and RL007 holds them to the compiled-kernel
-    #: contract (``cache=True``, guarded imports) instead.
-    jit_decorators: Tuple[str, ...] = ("njit", "jit")
-    #: Modules whose import must stay guarded (RL007): an optional
-    #: accelerator must never take the package down by merely being absent.
-    jit_import_modules: Tuple[str, ...] = ("numba",)
     #: RL004 contract table (see :class:`CacheContract`).
     contracts: Tuple[CacheContract, ...] = ()
     #: RL005 resources: the registry module (suffix) and its three mirrors
@@ -298,22 +279,6 @@ class Project:
         return None
 
 
-def is_jit_decorated(node: ast.AST, jit_names: Sequence[str]) -> bool:
-    """True when a function definition carries a JIT decorator.
-
-    Matches every spelling the Numba idiom uses: bare ``@njit``, attribute
-    ``@numba.njit``, and the parametrized call forms ``@njit(...)`` /
-    ``@numba.jit(...)``.
-    """
-    for decorator in getattr(node, "decorator_list", []):
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if isinstance(target, ast.Attribute) and target.attr in jit_names:
-            return True
-        if isinstance(target, ast.Name) and target.id in jit_names:
-            return True
-    return False
-
-
 class Context:
     """Per-module walk state handed to every rule visit.
 
@@ -350,19 +315,6 @@ class Context:
             for node in self.stack
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
-
-    def in_jit_kernel(self) -> bool:
-        """True when any enclosing function is JIT-decorated.
-
-        RL001/RL002 use this to exempt ``@njit`` kernels: inside compiled
-        code, explicit loops and scalarization are exactly what the
-        compiler wants to see.
-        """
-        return any(
-            is_jit_decorated(node, self.config.jit_decorators)
-            for node in self.stack
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        )
 
 
 class Rule:

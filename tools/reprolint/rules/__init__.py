@@ -17,7 +17,6 @@ from tools.reprolint.rules.cache_invalidation import CacheInvalidationRule
 from tools.reprolint.rules.dtype_discipline import DtypeDisciplineRule
 from tools.reprolint.rules.kernel_purity import KernelPurityRule
 from tools.reprolint.rules.memmap_lifetime import MemmapLifetimeRule
-from tools.reprolint.rules.native_kernels import NativeKernelRule
 from tools.reprolint.rules.registry_sync import RegistrySyncRule
 from tools.reprolint.rules.serve_handlers import ServeHandlerRule
 
@@ -28,7 +27,6 @@ RULE_CLASSES: List[Type[Rule]] = [
     CacheInvalidationRule,
     RegistrySyncRule,
     BenchOracleRule,
-    NativeKernelRule,
     MemmapLifetimeRule,
     ServeHandlerRule,
 ]
@@ -47,7 +45,6 @@ __all__ = [
     "CacheInvalidationRule",
     "RegistrySyncRule",
     "BenchOracleRule",
-    "NativeKernelRule",
     "MemmapLifetimeRule",
     "ServeHandlerRule",
 ]

@@ -12,12 +12,7 @@ Two checks, both scoped to the kernel modules
 * Inside kernel *functions*, ``.tolist()`` and ``float(...)``
   scalarization are flagged: both drop from the vectorized plane to
   Python objects in a hot path.  (Outside kernel functions they are
-  fine -- reporting code wants Python floats.)  JIT-compiled kernels
-  (:attr:`LintConfig.jit_decorators`) are exempt from the scalarization
-  checks: under ``@njit``, ``float(...)`` is a compiled cast and no
-  Python object ever materializes.  The allocator dtype check still
-  applies everywhere in the module -- pinned dtypes matter to compiled
-  and interpreted planes alike.
+  fine -- reporting code wants Python floats.)
 """
 
 from __future__ import annotations
@@ -77,7 +72,7 @@ class DtypeDisciplineRule(Rule):
         in_kernel = bool(
             set(ctx.function_names()) & set(ctx.config.kernel_functions)
         )
-        if not in_kernel or ctx.in_jit_kernel():
+        if not in_kernel:
             return
         if name == "tolist" and isinstance(node.func, ast.Attribute):
             self.report(

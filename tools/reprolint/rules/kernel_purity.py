@@ -22,14 +22,6 @@ Inside a kernel function:
 Comprehensions are not flagged -- kernels use them only for small
 metadata packing, and flagging them would force awkward rewrites with
 no performance story.
-
-JIT-compiled kernels (any function carrying a decorator named in
-:attr:`LintConfig.jit_decorators`, e.g. ``@njit``) are exempt wholesale:
-inside compiled code explicit loops over nodes and scenarios are exactly
-the idiom -- the compiler fuses them into machine code, and the
-"interpreter speed" failure mode this rule guards against does not
-exist.  RL007 holds those kernels to the compiled-kernel contract
-instead.
 """
 
 from __future__ import annotations
@@ -65,8 +57,6 @@ class KernelPurityRule(Rule):
         """Flag loops whose enclosing function is a kernel function."""
         kernel = set(ctx.function_names()) & set(ctx.config.kernel_functions)
         if not kernel:
-            return
-        if ctx.in_jit_kernel():
             return
         where = sorted(kernel)[0]
         if isinstance(node, ast.While):

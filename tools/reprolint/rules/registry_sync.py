@@ -6,9 +6,9 @@ mirrored by hand in three places: the CLI ``--engine`` choices, the
 engine table in docs/architecture.md, and the cross-engine parity
 matrix in tests/properties/test_engine_matrix.py.  A backend that lands
 in the registry but not in a mirror is either uninvocable from the CLI,
-undocumented, or -- worst -- unpinned by the parity suite.  With the
-ROADMAP pushing toward a ``"native"`` compiled backend, this rule makes
-the sync machine-checked.
+undocumented, or -- worst -- unpinned by the parity suite.  This rule
+makes the sync machine-checked, so deleting a backend also means
+deleting its CLI choice, docs row and matrix arm.
 
 The rule runs in :meth:`finish_project` and activates only when the
 registry module was part of the scanned set.  Registered names are the
